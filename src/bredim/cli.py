@@ -459,6 +459,10 @@ def run(argv: list[str] | None = None) -> tuple[int, Report | None]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Entries are exact at any size; normal-form transforms easily pass the
+    # int/str digit limit that Python 3.11 (and 3.10.7+) imposes by default.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     code, report = run(argv)
     if report is not None:
         sys.stdout.write(report.render(report.format))

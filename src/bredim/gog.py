@@ -90,6 +90,12 @@ class EdgeGroupDesc:
         return f"{self.ends[0]}-{self.ends[1]}"
 
 
+def _check_edge_rank(e: EdgeGroupDesc, ranks: dict[str, int]) -> None:
+    bound = min(ranks[e.ends[0]], ranks[e.ends[1]])
+    if e.rank > bound:
+        raise InputError(f"edge {e.label()}: rank {e.rank} exceeds endpoint rank {bound}")
+
+
 @dataclass(frozen=True)
 class GraphOfGroups:
     """A finite connected graph of virtually abelian groups.
@@ -108,16 +114,12 @@ class GraphOfGroups:
         names = [v.name for v in self.vertices]
         if len(set(names)) != len(names):
             raise InputError("duplicate vertex names")
-        by_name = {v.name: v for v in self.vertices}
+        ranks = {v.name: v.rank for v in self.vertices}
         for e in self.edges:
             for end in e.ends:
-                if end not in by_name:
+                if end not in ranks:
                     raise InputError(f"edge endpoint {end!r} is not a vertex")
-            bound = min(by_name[e.ends[0]].rank, by_name[e.ends[1]].rank)
-            if e.rank > bound:
-                raise InputError(
-                    f"edge {e.label()}: rank {e.rank} exceeds endpoint rank {bound}"
-                )
+            _check_edge_rank(e, ranks)
         if not self._connected():
             raise InputError("the underlying graph is not connected")
 
@@ -136,12 +138,6 @@ class GraphOfGroups:
                     reached.add(nxt)
                     frontier.append(nxt)
         return len(reached) == len(names)
-
-    def vertex(self, name: str) -> VertexGroupDesc:
-        for v in self.vertices:
-            if v.name == name:
-                return v
-        raise KeyError(name)
 
 
 def max_vertex_rank(gog: GraphOfGroups) -> int:
@@ -238,7 +234,6 @@ def bass_serre_bounds(gog: GraphOfGroups, k: int) -> GogResult:
         raise OutOfRangeError(f"bounds are asserted for k >= 1; got k={k}")
     notes: list[str] = []
     lower = 0
-    upper = 2
     for v in gog.vertices:
         bound, degenerate = fk_dim_virtually_abelian(v.rank, k)
         if degenerate:
@@ -247,7 +242,6 @@ def bass_serre_bounds(gog: GraphOfGroups, k: int) -> GogResult:
                 "its restricted dimension is the degenerate value 0"
             )
         lower = max(lower, bound.lower)
-        upper = max(upper, bound.lower)
     for e in gog.edges:
         bound, degenerate = fk_dim_virtually_abelian(e.rank, k)
         if degenerate and not e.finite:
@@ -256,12 +250,12 @@ def bass_serre_bounds(gog: GraphOfGroups, k: int) -> GogResult:
                 "its restricted dimension is the degenerate value 0"
             )
         lower = max(lower, bound.lower)
-        upper = max(upper, bound.lower + 1)
+    census = build_census(gog, k)
     return GogResult(
-        bound=DimBound(lower, upper),
+        bound=DimBound(lower, census.max_term()),
         exact=False,
         max_rank=max_vertex_rank(gog),
-        census=build_census(gog, k),
+        census=census,
         notes=tuple(notes),
         citations=(CITATIONS["gog-bounds"], CITATIONS["virtually-abelian-exact"]),
     )
@@ -364,7 +358,7 @@ def _parse_rank_field(no: int, field: str) -> int:
 def parse_gog(text: str) -> GraphOfGroups:
     vertices: list[VertexGroupDesc] = []
     edges: list[EdgeGroupDesc] = []
-    seen_names: set[str] = set()
+    ranks: dict[str, int] = {}
     acylindrical: bool | None = None
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -375,18 +369,23 @@ def parse_gog(text: str) -> GraphOfGroups:
             if len(fields) != 3:
                 raise ParseError(no, "expected 'vertex <name> rank=<r>'")
             name = fields[1]
-            if name in seen_names:
+            if name in ranks:
                 raise ParseError(no, f"duplicate vertex {name!r}")
-            seen_names.add(name)
             vertices.append(VertexGroupDesc(name, _parse_rank_field(no, fields[2])))
+            ranks[name] = vertices[-1].rank
         elif fields[0] == "edge":
             if len(fields) != 4:
                 raise ParseError(no, "expected 'edge <name1> <name2> rank=<r>|finite'")
             rank = 0 if fields[3] == "finite" else _parse_rank_field(no, fields[3])
             for end in (fields[1], fields[2]):
-                if end not in seen_names:
+                if end not in ranks:
                     raise ParseError(no, f"edge endpoint {end!r} is not a declared vertex")
             edges.append(EdgeGroupDesc((fields[1], fields[2]), rank))
+            # rank violations surface on the edge line that causes them
+            try:
+                _check_edge_rank(edges[-1], ranks)
+            except InputError as exc:
+                raise ParseError(no, str(exc)) from None
         elif fields[0] == "acylindrical":
             if len(fields) != 3 or fields[1] != "=" or fields[2] not in ("true", "false"):
                 raise ParseError(no, "expected 'acylindrical = true|false'")
@@ -395,15 +394,6 @@ def parse_gog(text: str) -> GraphOfGroups:
             acylindrical = fields[2] == "true"
         else:
             raise ParseError(no, f"unknown directive {fields[0]!r}")
-        # rank violations surface on the edge line that causes them
-        if fields[0] == "edge":
-            by_name = {v.name: v for v in vertices}
-            e = edges[-1]
-            bound = min(by_name[e.ends[0]].rank, by_name[e.ends[1]].rank)
-            if e.rank > bound:
-                raise ParseError(
-                    no, f"edge {e.label()}: rank {e.rank} exceeds endpoint rank {bound}"
-                )
     if not vertices:
         raise ParseError(1, "a graph of groups needs at least one vertex")
     try:

@@ -12,10 +12,10 @@ Homology is computed from Smith normal forms:
     betti = nullity(bd_k) - rank(bd_{k+1}),
     torsion = invariant factors of bd_{k+1} that exceed 1.
 
-Cohomology is computed on the dual complex, i.e. from the transposed
-boundaries, never by shuffling the homology answer; the universal-coefficient
-relation between the two is an independent cross-check exercised by the test
-suite.
+Cohomology is the same computation on the dual complex, i.e. applied to
+the transposed boundaries, never a shuffle of the homology answer; the
+universal-coefficient relation between the two is an independent
+cross-check exercised by the test suite.
 """
 
 from __future__ import annotations
@@ -157,16 +157,23 @@ def _invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(x for x in d.diagonal() if x != 0)
 
 
+def _kernel_mod_image(
+    k: int, cells: int, out_map: IntMatrix, in_map: IntMatrix
+) -> CohomologyGroup:
+    """``ker(out_map) / im(in_map)`` in degree k, for maps out of and into Z^cells."""
+    rank_out = len(_invariant_factors(out_map))
+    in_factors = _invariant_factors(in_map)
+    betti = (cells - rank_out) - len(in_factors)
+    torsion = tuple(x for x in in_factors if x > 1)
+    return CohomologyGroup(degree=k, betti=betti, torsion=torsion)
+
+
 def homology(complex_: ChainComplex, k: int) -> CohomologyGroup:
     """The integral homology group H_k."""
     _check_degree(complex_, k)
-    out_map = complex_.boundary(k)
-    in_map = complex_.boundary(k + 1)
-    rank_out = len(_invariant_factors(out_map))
-    in_factors = _invariant_factors(in_map)
-    betti = (complex_.cell_counts[k] - rank_out) - len(in_factors)
-    torsion = tuple(x for x in in_factors if x > 1)
-    return CohomologyGroup(degree=k, betti=betti, torsion=torsion)
+    return _kernel_mod_image(
+        k, complex_.cell_counts[k], complex_.boundary(k), complex_.boundary(k + 1)
+    )
 
 
 def cohomology(complex_: ChainComplex, k: int) -> CohomologyGroup:
@@ -177,13 +184,12 @@ def cohomology(complex_: ChainComplex, k: int) -> CohomologyGroup:
     homology of that cochain complex.
     """
     _check_degree(complex_, k)
-    out_map = complex_.boundary(k + 1).transpose()
-    in_map = complex_.boundary(k).transpose()
-    rank_out = len(_invariant_factors(out_map))
-    in_factors = _invariant_factors(in_map)
-    betti = (complex_.cell_counts[k] - rank_out) - len(in_factors)
-    torsion = tuple(x for x in in_factors if x > 1)
-    return CohomologyGroup(degree=k, betti=betti, torsion=torsion)
+    return _kernel_mod_image(
+        k,
+        complex_.cell_counts[k],
+        complex_.boundary(k + 1).transpose(),
+        complex_.boundary(k).transpose(),
+    )
 
 
 def euler_characteristic(complex_: ChainComplex) -> int:

@@ -3,13 +3,17 @@
 A :class:`Sublattice` is a finite-rank subgroup of Z^n stored by its
 canonical basis: the row-style Hermite normal form of any generating set,
 with zero rows dropped.  Canonical bases make equality of subgroups a plain
-value comparison.
+value comparison.  A basis is put into Hermite form once, when the lattice
+is built from generators; the raw constructor only checks the defining
+conditions of that form.
 
 The operations here are the subgroup combinatorics the dimension formulas
 rest on: indices, intersections, sums, commensurability, saturation
 (the unique direct summand a finite-index overgroup lives in), direct
 complements of saturated sublattices, and unimodular automorphisms carrying
-one saturated sublattice onto another of the same rank.
+one saturated sublattice onto another of the same rank.  The last two test
+saturation once, through the Hermite transform that also builds the basis
+completion they are read from.
 
 All values are immutable and every function is pure.
 """
@@ -89,6 +93,26 @@ def _canonical_basis(ambient_dim: int, generators: IntMatrix) -> IntMatrix:
     return h.take_rows(nonzero) if nonzero else IntMatrix.from_rows([], cols=ambient_dim)
 
 
+def _is_canonical(basis: IntMatrix) -> bool:
+    """Whether ``basis`` is a Hermite normal form without zero rows.
+
+    Checks the defining conditions in one pass: every row has a positive
+    pivot strictly right of the pivot above it, and the entries above each
+    pivot lie in ``[0, pivot)``.  Such a matrix is the unique canonical
+    basis of its row span.
+    """
+    last = -1
+    for i in range(basis.rows):
+        row = basis.row(i)
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None or col <= last or row[col] < 0:
+            return False
+        if any(not 0 <= basis.at(r, col) < row[col] for r in range(i)):
+            return False
+        last = col
+    return True
+
+
 @dataclass(frozen=True)
 class Sublattice:
     """A subgroup of Z^n in canonical Hermite-normal-form basis.
@@ -108,7 +132,7 @@ class Sublattice:
             raise DimensionMismatchError(
                 f"basis has {self.basis.cols} columns, ambient dimension is {self.ambient_dim}"
             )
-        if self.basis != _canonical_basis(self.ambient_dim, self.basis):
+        if not _is_canonical(self.basis):
             raise InputError("basis is not in canonical Hermite normal form")
 
     @classmethod
@@ -135,10 +159,6 @@ class Sublattice:
     @property
     def rank(self) -> int:
         return self.basis.rows
-
-    @property
-    def is_full(self) -> bool:
-        return self.rank == self.ambient_dim and self.basis == IntMatrix.identity(self.ambient_dim)
 
     def coordinates_of(self, vector: Sequence[int]) -> tuple[int, ...] | None:
         """Integer coordinates of ``vector`` in this basis, or None if outside.
@@ -293,6 +313,20 @@ def is_maximal(a: Sublattice) -> bool:
     return all(x == 1 for x in d.diagonal()[: a.rank])
 
 
+def _completion_transform(a: Sublattice) -> IntMatrix:
+    """The Hermite transform ``u`` with ``u @ a.basis^T == [I; 0]``.
+
+    That Hermite form is reached exactly when ``a`` is saturated (its Smith
+    form is all ones), so this is the saturation test of the completion
+    routines; it raises MaximalityRequiredError otherwise.
+    """
+    n, r = a.ambient_dim, a.rank
+    h, u = hermite_normal_form(a.basis.transpose())
+    if h != IntMatrix.identity(r).vstack(IntMatrix.zero(n - r, r)):
+        raise MaximalityRequiredError("the sublattice must be saturated (a direct summand of Z^n)")
+    return u
+
+
 def unimodular_completion(a: Sublattice) -> IntMatrix:
     """Extend the basis of a saturated sublattice to a basis of Z^n.
 
@@ -301,18 +335,8 @@ def unimodular_completion(a: Sublattice) -> IntMatrix:
     Hermite transform of the transposed basis, so identical inputs yield
     identical completions.
     """
-    n, r = a.ambient_dim, a.rank
-    if r == 0:
-        return IntMatrix.identity(n)
-    h, u = hermite_normal_form(a.basis.transpose())
-    expected = IntMatrix.identity(r).vstack(IntMatrix.zero(n - r, r))
-    if h != expected:
-        raise MaximalityRequiredError(
-            "basis completion needs a saturated (direct summand) sublattice"
-        )
-    w = inverse_unimodular(u).transpose()
-    completed = w.take_rows(range(r))
-    if completed != a.basis:
+    w = inverse_unimodular(_completion_transform(a)).transpose()
+    if w.take_rows(range(a.rank)) != a.basis:
         raise AssertionError("completion does not start with the input basis")
     return w
 
@@ -325,8 +349,6 @@ def direct_complement(a: Sublattice) -> Sublattice:
     """
     if a.rank == 0:
         raise MaximalityRequiredError("the rank-0 lattice is not a maximality-class member")
-    if not is_maximal(a):
-        raise MaximalityRequiredError("direct complements exist only for saturated sublattices")
     w = unimodular_completion(a)
     rows = [w.row(i) for i in range(a.rank, a.ambient_dim)]
     return Sublattice.from_generators(a.ambient_dim, rows)
@@ -343,14 +365,12 @@ def mapping_automorphism(src: Sublattice, dst: Sublattice) -> IntMatrix:
     _require_same_ambient(src, dst)
     if src.rank != dst.rank:
         raise RankMismatchError(f"ranks differ: {src.rank} vs {dst.rank}")
-    for lat in (src, dst):
-        if lat.rank == 0:
-            raise MaximalityRequiredError("the rank-0 lattice is not a maximality-class member")
-        if not is_maximal(lat):
-            raise MaximalityRequiredError("both lattices must be saturated")
-    w_src = unimodular_completion(src)
-    w_dst = unimodular_completion(dst)
-    auto = w_dst.transpose() @ inverse_unimodular(w_src).transpose()
+    if src.rank == 0:
+        raise MaximalityRequiredError("the rank-0 lattice is not a maximality-class member")
+    # With w = inverse(u)^T for each completion, w_dst^T @ inverse(w_src)^T
+    # is w_dst^T @ u_src.
+    u_src = _completion_transform(src)
+    auto = unimodular_completion(dst).transpose() @ u_src
     if abs(determinant(auto)) != 1:
         raise AssertionError("constructed map is not unimodular")
     if auto @ src.basis.transpose() != dst.basis.transpose():

@@ -22,6 +22,7 @@ __all__ = [
     "fraction_solve_left",
     "rational_row_space",
     "in_rational_span",
+    "coset_representatives",
     "coset_count",
     "coordinates_matrix",
     "box_vectors",
@@ -188,16 +189,17 @@ def coordinates_matrix(sub: Sublattice, sup: Sublattice) -> IntMatrix | None:
     return IntMatrix.from_rows(rows, cols=sup.rank)
 
 
-def coset_count(coeffs: IntMatrix) -> int:
-    """Order of Z^r modulo the row span of a nonsingular r x r matrix.
+def coset_representatives(coeffs: IntMatrix) -> list[tuple[int, ...]]:
+    """One vector per coset of Z^r modulo the row span of a nonsingular r x r
+    matrix, sorted.
 
-    Counts cosets by walking the quotient from 0 along unit steps; a coset
-    is named by the fractional parts of its representative in the basis of
-    the subgroup, which is a complete invariant.
+    Walks the quotient from 0 along unit steps; a coset is named by the
+    fractional parts of its representative in the basis of the subgroup,
+    which is a complete invariant.
     """
     r = coeffs.rows
     if r == 0:
-        return 1
+        return [()]
     inv = fraction_inverse(coeffs)
 
     def signature(vec: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -219,7 +221,12 @@ def coset_count(coeffs: IntMatrix) -> int:
                 if sig not in seen:
                     seen[sig] = candidate
                     frontier.append(candidate)
-    return len(seen)
+    return sorted(seen.values())
+
+
+def coset_count(coeffs: IntMatrix) -> int:
+    """Order of Z^r modulo the row span of a nonsingular r x r matrix."""
+    return len(coset_representatives(coeffs))
 
 
 def box_vectors(ambient_dim: int, radius: int) -> Iterable[tuple[int, ...]]:
@@ -241,26 +248,7 @@ def box_vectors(ambient_dim: int, radius: int) -> Iterable[tuple[int, ...]]:
 
 def max_clique_bitmask(vertex_count: int, edges: Iterable[tuple[int, int]]) -> int:
     """Largest clique size by checking every vertex subset (bitmask walk)."""
-    adj = [0] * vertex_count
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    best = 0
-    for mask in range(1 << vertex_count):
-        size = mask.bit_count()
-        if size <= best:
-            continue
-        rest = mask
-        ok = True
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if (mask & ~adj[v]) != (1 << v):
-                ok = False
-                break
-        if ok:
-            best = size
-    return best
+    return len(clique_counts_bitmask(vertex_count, edges)) - 1
 
 
 def clique_counts_bitmask(vertex_count: int, edges: Iterable[tuple[int, int]]) -> list[int]:

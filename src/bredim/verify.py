@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from . import dims, gog, homology, lattice, oracles, raag
@@ -235,35 +234,6 @@ def _check_commensurability(rng: random.Random, instances: list[lattice.Sublatti
     return out
 
 
-def _quotient_representatives(coeffs: IntMatrix) -> list[tuple[int, ...]]:
-    """Representative coefficient vectors for Z^r modulo the row span."""
-    r = coeffs.rows
-    if r == 0:
-        return [()]
-    inv = oracles.fraction_inverse(coeffs)
-
-    def signature(vec: tuple[int, ...]) -> tuple[Fraction, ...]:
-        return tuple(
-            sum(v * inv[i][j] for i, v in enumerate(vec)) % 1 for j in range(r)
-        )
-
-    start = (0,) * r
-    seen = {signature(start): start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for axis in range(r):
-            for step in (1, -1):
-                nxt = list(current)
-                nxt[axis] += step
-                candidate = tuple(nxt)
-                sig = signature(candidate)
-                if sig not in seen:
-                    seen[sig] = candidate
-                    frontier.append(candidate)
-    return sorted(seen.values())
-
-
 def _check_uniqueness(instances: list[lattice.Sublattice]) -> CheckResult:
     """Saturated overlattice uniqueness, by intermediate enumeration.
 
@@ -282,7 +252,7 @@ def _check_uniqueness(instances: list[lattice.Sublattice]) -> CheckResult:
             continue
         sat = lattice.saturation(lat)
         coeffs = oracles.coordinates_matrix(lat, sat)
-        reps = _quotient_representatives(coeffs)
+        reps = oracles.coset_representatives(coeffs)
         vectors = []
         for rep in reps:
             vectors.append(
@@ -396,13 +366,7 @@ def _check_second_isomorphism(rng: random.Random, count: int) -> CheckResult:
     return out
 
 
-def lattice_oracle_suite(
-    seed: int = DEFAULT_SEED, instances: int = 500
-) -> list[CheckResult]:
-    """Saturation box oracle, coset-counting index oracle, commensurability
-    against saturation equality, and overlattice uniqueness, on one shared
-    batch of seeded random sublattices of Z^n, n <= 3, entries in [-4, 4]."""
-    rng = random.Random(seed)
+def _lattice_oracle_checks(rng: random.Random, instances: int) -> list[CheckResult]:
     batch = _lattice_instances(rng, instances)
     return [
         _check_saturation_box(batch),
@@ -410,6 +374,15 @@ def lattice_oracle_suite(
         _check_commensurability(rng, batch),
         _check_uniqueness(batch),
     ]
+
+
+def lattice_oracle_suite(
+    seed: int = DEFAULT_SEED, instances: int = 500
+) -> list[CheckResult]:
+    """Saturation box oracle, coset-counting index oracle, commensurability
+    against saturation equality, and overlattice uniqueness, on one shared
+    batch of seeded random sublattices of Z^n, n <= 3, entries in [-4, 4]."""
+    return _lattice_oracle_checks(random.Random(seed), instances)
 
 
 def automorphism_suite(seed: int = DEFAULT_SEED, pairs: int = 200) -> list[CheckResult]:
@@ -423,21 +396,16 @@ def verify_lattice(
     automorphism_pairs: int = 200,
 ) -> list[CheckResult]:
     rng = random.Random(seed)
-    results = [
+    return [
         _check_hnf(rng, 60),
         _check_snf(rng, 60),
         _check_saturation_closure(rng, 80),
+        *_lattice_oracle_checks(rng, oracle_instances),
+        _check_automorphisms(rng, automorphism_pairs),
+        _check_intersection_box(rng, 60),
+        _check_index_multiplicative(rng, 60),
+        _check_second_isomorphism(rng, 60),
     ]
-    instances = _lattice_instances(rng, oracle_instances)
-    results.append(_check_saturation_box(instances))
-    results.append(_check_index_coset(instances))
-    results.append(_check_commensurability(rng, instances))
-    results.append(_check_uniqueness(instances))
-    results.append(_check_automorphisms(rng, automorphism_pairs))
-    results.append(_check_intersection_box(rng, 60))
-    results.append(_check_index_multiplicative(rng, 60))
-    results.append(_check_second_isomorphism(rng, 60))
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from bredim import cli, verify
+from bredim.lattice import read_matrix
+from bredim.matrix import IntMatrix
 
 
 def run(capsys, *argv):
@@ -386,3 +390,21 @@ def test_dimacs_file_accepted(capsys, tmp_path):
     code, out, _ = run(capsys, "raag", "cd", str(path))
     assert code == 0
     assert "cd = 3" in out
+
+
+def test_snf_prints_transforms_past_the_int_str_digit_limit(capsys, tmp_path):
+    rng = random.Random(24)
+    rows = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)]
+    path = tmp_path / "m24.txt"
+    path.write_text("24 24\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
+    code, out, err = run(capsys, "lattice", "snf", str(path))
+    assert code == 0, err
+    lines = out.splitlines()
+
+    def block(label):
+        start = lines.index(f"{label}:") + 1
+        return read_matrix("\n".join(lines[start : start + 25]))
+
+    d, s, t = block("D"), block("S"), block("T")
+    assert max(len(str(x)) for x in s.entries + t.entries) > 4300
+    assert s @ IntMatrix.from_rows(rows) @ t == d

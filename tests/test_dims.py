@@ -344,3 +344,59 @@ def test_render_records_are_flat_and_complete():
     assert records[0].startswith("node=0 parent=-")
     text = tree.render_text()
     assert text.count("\n") + 1 == len(records)
+
+
+def _node(rule_id, bound=DimBound.at_most(1), premises=(), params=()):
+    return Derivation(
+        rule_id=rule_id,
+        subject="X",
+        family=FamilyTag.fk(0),
+        bound=bound,
+        citation=CITATIONS[rule_id],
+        premises=premises,
+        params=params,
+    )
+
+
+def _leaf(upper):
+    return _node("aspherical-base", DimBound.at_most(upper), params=(("n", upper),))
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        _node(
+            "nested-families",
+            premises=(_leaf(1), _node("virtually-abelian-upper", DimBound.unknown())),
+        ),
+        _node("cell-stabilizers", premises=(_leaf(1),)),
+        _node("aspherical-base"),
+    ],
+    ids=["nested-unknown-premise", "cells-missing-dim0", "base-missing-n"],
+)
+def test_malformed_node_is_unsound_not_a_crash(node):
+    with pytest.raises(DerivationError):
+        node.recheck_bound()
+    assert not node.is_sound()
+
+
+@pytest.mark.parametrize(
+    "rule_id,count",
+    [
+        ("enlarge-family-pushout", 0),
+        ("union-of-families", 2),
+        ("union-of-families", 4),
+        ("union-of-families-cylinder", 2),
+        ("nested-families", 1),
+        ("nested-families", 3),
+        ("cell-stabilizers", 0),
+        ("eilenberg-ganea", 0),
+        ("eilenberg-ganea", 2),
+    ],
+)
+def test_wrong_premise_count_is_a_derivation_error(rule_id, count):
+    premises = tuple(_leaf(1) for _ in range(count))
+    node = _node(rule_id, premises=premises, params=(("dim0", 0),))
+    with pytest.raises(DerivationError):
+        node.recheck_bound()
+    assert not node.is_sound()

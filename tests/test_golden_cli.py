@@ -1,0 +1,224 @@
+"""Golden corpus for the command line.
+
+Each entry runs one ``bredim`` command line in process and compares the
+sha256 of its stdout and its exit status with values recorded before the
+one-source-of-truth refactor of the lattice, dims, homology, gog and oracle
+code.  Any change to a byte of stdout fails here.  Two verify suites are
+also pinned check by check, so the seeded random streams behind them (and
+with them every instance count) stay the same.
+"""
+
+import hashlib
+
+import pytest
+
+from bredim import cli, verify
+
+FILES = {
+    "matrix.txt": "3 3\n2 4 4\n-6 6 12\n10 -4 -16\n",
+    "lat.txt": "2 1\n2 4\n",
+    "plane.txt": "3 2\n1 2 3\n0 1 1\n",
+    "plane2.txt": "3 2\n1 0 0\n0 0 1\n",
+    "line.txt": "3 1\n1 2 3\n",
+    "line2.txt": "3 1\n0 1 1\n",
+    "nonsat.txt": "3 2\n2 0 0\n0 1 0\n",
+    "sub.txt": "2 2\n2 0\n0 2\n",
+    "sup.txt": "2 2\n1 0\n0 1\n",
+    "k4.graph": "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+    "c5.graph": "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n",
+    "split.gog": "vertex A rank=2\nvertex B rank=3\nedge A B finite\nacylindrical = true\n",
+    "weak.gog": "vertex A rank=2\nvertex B rank=2\nedge A B rank=2\nacylindrical = true\n",
+}
+
+# (command line with FILES keys as file arguments, exit status,
+#  stdout sha256 per --format)
+CORPUS = [
+    ("lattice hnf matrix.txt", 0, {
+        "human": "e4b5277a92fd2797a061716d1593bf03e472bd4eb1c1ab920c06d3721414ddfe",
+        "structured": "d0cb63921a0cde2104cba58d1044f66239a30b938f346d59fe28f2f3eb31525f",
+    }),
+    ("lattice snf matrix.txt", 0, {
+        "human": "cf55f5ad6e587e02eb98b94fb22ebf99c6694b9b86e6b20c1ca25530fb7987ec",
+        "structured": "4524c5982c645b4c8a76ce988a726eb363c8a4695291a2db2272654167c45f5e",
+    }),
+    ("lattice saturate lat.txt", 0, {
+        "human": "7c1826a0dc55add14b08700f4354960b2d52a346bf761f7a6a1d37a4ee2ffffe",
+        "structured": "c07f087a15fd72c523aa0f4313f680b6a1cbba6f60596d1c0120076a74c31cf6",
+    }),
+    ("lattice complement plane.txt", 0, {
+        "human": "9b52ba225550158f06b4450ed4ff9d986931641bdc682c19d368344d1b809d37",
+        "structured": "1f8c2ffaf7614e03c674416be44aa4f58b1122d6a361308d799a65602b2c7552",
+    }),
+    ("lattice complement line.txt", 0, {
+        "human": "337b223e13fc4752f92d3c314f6c84dfae7716df059ae770ea7d71d5f422967a",
+        "structured": "91cfb2eeadb615cae3212d8c07d9cb86ccfb08ab4744b0288d26f6774ea23f73",
+    }),
+    ("lattice index sub.txt sup.txt", 0, {
+        "human": "ac0a289910483ad86d012543978b1d420b9f94da144f854554275424648c67bd",
+        "structured": "358cd2f9c62cfdd742cc1c4a81514039a7f005176478d36d371c9615e4e6153d",
+    }),
+    ("lattice commensurable sub.txt sup.txt", 0, {
+        "human": "a15890c5d00e5c418322897c5a8d370a70b486d81046f4741e5939cee9e07156",
+        "structured": "0cd027755bd3fd1b5df1891c8db5fe15f044148d55e66240f526c76d55bb7b2d",
+    }),
+    ("lattice map-auto plane.txt plane2.txt", 0, {
+        "human": "61d155a0b2cc20b245bc7b084ca6c8f4116255f513289aac2103668860105280",
+        "structured": "3ca31846bc773a032feb8a8e1ee3be169187e55a4a430a213ec93d19f941637b",
+    }),
+    ("lattice map-auto line.txt line2.txt", 0, {
+        "human": "4ebb090dfab37d284d7ba94da60e33d7d4c87a397d731a27602e3ad637c18abe",
+        "structured": "8062f1be91c93779de4ac607de2d98f6910c4f630babc50385b690f18ca4b3c0",
+    }),
+    ("raag cliques k4.graph --list", 0, {
+        "human": "e617f8d523635b366ab5fbd44fbe74caaf4324c8f6876870b73c627e175281a3",
+        "structured": "f326517102b4c6c37d23d34aa3b1aa8e105b93d48f793f0be62714af833c3080",
+    }),
+    ("raag cliques c5.graph", 0, {
+        "human": "f942709dc63e4012fd9e302e7b364b1541aca94940946303330d8ad7af527e9d",
+        "structured": "2d54f3b0d4f284c317170f83647feeef8b6ef984d8f9a5dba7f09d6e71e5b53b",
+    }),
+    ("raag cd k4.graph", 0, {
+        "human": "8287473cc785746873cd9cdf0baa04c6d2598b9e1b9c34acb48daa1552810474",
+        "structured": "087dccf4164616c63193bc22ebbda95b7322466684eda8893a8d2bcdc8097f0a",
+    }),
+    ("raag gd k4.graph --k 1", 0, {
+        "human": "5b1d65c0b065bd4b8b2b09b6dbd3f8f08a8b1ea8eeb9f9961417e58188a88884",
+        "structured": "866727542581f07ab005f1c816b2b48e486955ed3bc8292f7f815306252f2012",
+    }),
+    ("raag salvetti k4.graph --cohomology", 0, {
+        "human": "9a03f2e50b26f7131d57ecc6f74d8451db7eb9d6c175956bb8edcee6edd02967",
+        "structured": "162a5289795299b0fbb9f45fbce61e8942a256100f2faeca3f0ba4210f50cff3",
+    }),
+    ("raag salvetti c5.graph", 0, {
+        "human": "18313a8cbe0ff1ea5f9b87154435842f115643fb77978686999f72495f1afecf",
+        "structured": "39e16a151b61f08ae5ee1348477ffd8678a0d969758bdff4b184afda6b2840ed",
+    }),
+    ("dims vab --n 3 --k 1", 0, {
+        "human": "fd2bfc82401e97299e86becffeb42b3c52dc7e4d568430640d7b9a1273454615",
+        "structured": "fe71a763d20b92abc0ebcf18aed6792d127c5aae4399ab7b78e264b0e6d0ffc0",
+    }),
+    ("dims braid --n 4 --k 1 --pure", 0, {
+        "human": "f06d1ca630a2b156961c4391354e5592ad32cd34cf5c938125cf0f06b5ed3270",
+        "structured": "b25753b0b9458157f89eadd8fea673348ce7c1af3792112e603a11b77971c7a3",
+    }),
+    ("dims out-fn --n 3 --k 1", 0, {
+        "human": "1ca79646814c7890162f02f83c7a006be550c864e5ef9ab4bff1e89bddb98aee",
+        "structured": "6c75752186ccbdf249d75fa93a5dffac0606b26bd35fab433fbdab4686bd5061",
+    }),
+    ("dims out-diamonds --d 2 --k 1", 0, {
+        "human": "c3e34016e7ef4d3f674a2212539a8c77f3cc8fac3e8816ed1f80862e7db9516f",
+        "structured": "b2c8a8c2efdc44273d26c17a37d86796857fb3e8e07c20d4458bc04567160c48",
+    }),
+    ("dims derive-zn --n 4 --k 2 --tree", 0, {
+        "human": "2547b4f6c96f7e191d3a77945baf00d5723c41344efd2e51dbd44f75f66b4637",
+        "structured": "448c1a92d6e9e2b5d37d264b8125b19e86ec00f92d69ffd11e9c1ebf0553c1dd",
+    }),
+    ("gog gd --k 2 split.gog", 0, {
+        "human": "fff8581fd6258f1e5b7b550809006f35ba4fbb9a72c14a88eb944a9de930e4e8",
+        "structured": "ba914e41f0edd88d0a7a41ff3a56be545fdb40ffd645caa3e16ed941df043ded",
+    }),
+    ("gog gd --k 1 weak.gog", 0, {
+        "human": "b6b7ffdd57509a1b42de71f5c5da383fdb654531cee9a0743d9b25085a04d8dc",
+        "structured": "7df6b70f3f470e4123d97ed7117bf0252df30b258df613c5c984ee92a375e746",
+    }),
+    ("gog bounds --k 1 split.gog", 0, {
+        "human": "acec0f0f00d0e8aa6dbe07b0bf030a6ae1c66361147f725cd6f220af319d08f1",
+        "structured": "94bf1515eb19be1d526accb04efc6ba7445db4523b9154c9e2d862f741755c5b",
+    }),
+    ("gog census --k 1 split.gog", 0, {
+        "human": "238a0f5af90888386111f892631b0e8f88392f472c47f640a0571511626759ab",
+        "structured": "43d32d804dc442103b49812ffc09eabe46c363d5d92a4fbcff096ad38a5d90fa",
+    }),
+    ("verify dims", 0, {
+        "human": "c77ee692a362f6bed31a8787edc3a35f0e4a38776e62aaf85c9f0dc2ee46ea88",
+        "structured": "ca324fa5c297201e96e46d3c510116e4bf8c95c1a5fd583b51eee5adb749b8ac",
+    }),
+    ("verify homology", 0, {
+        "human": "cbdb03efb8fc600a7ee3653c78b025948e8bd52cc4d70bf82263671d837cdfac",
+        "structured": "bf06c88a59bee0dc8456c3e5b30060c0b0dbd6598bd456eda67a7bdc4557bf47",
+    }),
+]
+
+# Every command above is pinned in both output formats.
+FORMATTED = [
+    (f"{line} --format {fmt}", code, digests[fmt])
+    for line, code, digests in CORPUS
+    for fmt in ("human", "structured")
+]
+
+# Refusals print nothing on stdout.
+REFUSALS = [
+    ("dims vab --n 2 --k 2", 3),
+    ("dims braid --n 3 --k 2", 3),
+    ("raag gd k4.graph --k 4", 3),
+    ("gog census --k 0 split.gog", 3),
+    ("lattice complement nonsat.txt", 2),
+    ("lattice map-auto nonsat.txt plane.txt", 2),
+]
+
+VERIFY_LATTICE = [
+    ("lattice.hnf-canonical", 60, True),
+    ("lattice.snf-sound", 60, True),
+    ("lattice.saturation-closure", 80, True),
+    ("lattice.saturation-box-oracle", 60, True),
+    ("lattice.index-coset-oracle", 60, True),
+    ("lattice.commensurability-saturation", 60, True),
+    ("lattice.saturation-uniqueness", 59, True),
+    ("lattice.automorphism-postconditions", 20, True),
+    ("lattice.intersection-box-oracle", 60, True),
+    ("lattice.index-multiplicativity", 60, True),
+    ("lattice.sum-intersection-index", 60, True),
+]
+
+VERIFY_RAAG = [
+    ("raag.clique-oracle", 40, True),
+    ("raag.dimension-formulas", 20, True),
+    ("raag.salvetti-cohomology", 20, True),
+    ("raag.torus-cohomology", 6, True),
+]
+
+
+def _run(capsys, tmp_path, line):
+    argv = []
+    for token in line.split():
+        if token in FILES:
+            path = tmp_path / token
+            path.write_text(FILES[token])
+            token = str(path)
+        argv.append(token)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("line,code,digest", FORMATTED, ids=[entry[0] for entry in FORMATTED])
+def test_golden_stdout(capsys, tmp_path, line, code, digest):
+    got_code, out, _ = _run(capsys, tmp_path, line)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("line,code", REFUSALS, ids=[entry[0] for entry in REFUSALS])
+def test_golden_refusals(capsys, tmp_path, line, code):
+    got_code, out, err = _run(capsys, tmp_path, line)
+    assert got_code == code
+    assert out == ""
+    assert err.startswith("error: ")
+    if code == 2:
+        assert "saturated" in err
+
+
+def _summary(results):
+    return [(check.name, check.instances, check.ok) for check in results]
+
+
+def test_verify_lattice_stream_pinned():
+    results = verify.verify_lattice(
+        verify.DEFAULT_SEED, oracle_instances=60, automorphism_pairs=20
+    )
+    assert _summary(results) == VERIFY_LATTICE
+
+
+def test_verify_raag_stream_pinned():
+    results = verify.verify_raag(verify.DEFAULT_SEED, graphs=40)
+    assert _summary(results) == VERIFY_RAAG

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bredim.errors import (
     AmbientMismatchError,
@@ -14,6 +16,7 @@ from bredim.errors import (
 from bredim.lattice import (
     IndexResult,
     Sublattice,
+    _canonical_basis,
     commensurable,
     direct_complement,
     index,
@@ -75,6 +78,33 @@ def test_raw_constructor_rejects_noncanonical():
         Sublattice(2, IntMatrix.from_rows([[2, 0], [1, 1]]))
     with pytest.raises(InputError):
         Sublattice(2, IntMatrix.from_rows([[1, 0], [0, 0]]))
+
+
+@st.composite
+def _small_bases(draw):
+    """Small integer matrices, half of them canonical bases with one entry
+    redrawn (a zero row, a negative pivot, an unreduced entry above a pivot)."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=4))
+    m = IntMatrix.from_rows(rows, cols=n)
+    if draw(st.booleans()):
+        m = _canonical_basis(n, m)
+        entries = list(m.entries)
+        if entries and draw(st.booleans()):
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(st.integers(-5, 5))
+        m = IntMatrix(m.rows, n, tuple(entries))
+    return n, m
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_bases())
+def test_raw_constructor_accepts_exactly_canonical_bases(case):
+    n, m = case
+    if m == _canonical_basis(n, m):
+        assert Sublattice(n, m).basis == m
+    else:
+        with pytest.raises(InputError):
+            Sublattice(n, m)
 
 
 def test_membership():
