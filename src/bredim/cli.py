@@ -9,7 +9,8 @@ One executable with subcommand groups::
     bredim verify  {lattice|raag|homology|dims|all}
 
 Exit codes: 0 success, 1 failed verify suite, 2 invalid input, 3 request
-outside a formula's established range, 64 usage error.
+outside a formula's established range, 64 usage error, 70 internal error (an
+unexpected exception inside bredim, reported on one line without a traceback).
 
 Output is deterministic for identical inputs and seed.  The default format
 is human-readable ("key = value" lines, '#'-prefixed metadata); pass
@@ -39,6 +40,7 @@ EXIT_SUITE_FAILED = 1
 EXIT_INPUT = 2
 EXIT_RANGE = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 class _UsageError(Exception):
@@ -215,7 +217,8 @@ def _cmd_raag(args: argparse.Namespace) -> tuple[int, Report]:
         value = raag.gd_fk_raag(graph, args.k)
         report.add("k", args.k)
         report.add("gd", value)
-        report.add("cd", raag.cd_raag(graph))
+        # gd = cd + k, so cd needs no second clique search.
+        report.add("cd", value - args.k)
         report.notes.append(raag.RAAG_GD_EQUALS_CD_NOTE)
         report.citations.append(dims.CITATIONS["raag-fk-exact"])
         report.citations.append(dims.CITATIONS["raag-cd"])
@@ -454,6 +457,11 @@ def run(argv: list[str] | None = None) -> tuple[int, Report | None]:
     except BredimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT, None
+    except Exception as exc:
+        # A failed postcondition or any other bug: one line, no traceback.
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return EXIT_INTERNAL, None
     report.format = getattr(args, "format", "human")
     return code, report
 

@@ -153,6 +153,10 @@ def _check_degree(complex_: ChainComplex, k: int) -> None:
 
 
 def _invariant_factors(m: IntMatrix) -> tuple[int, ...]:
+    # A zero map has no invariant factors; skipping SNF also skips building
+    # its two identity transforms.
+    if m.is_zero():
+        return ()
     d, _, _ = smith_normal_form(m)
     return tuple(x for x in d.diagonal() if x != 0)
 

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -91,10 +92,11 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
+        # Column j of the row-major entries is the strided slice entries[j::cols].
         return IntMatrix(
             self.cols,
             self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
+            tuple(chain.from_iterable(self.entries[j :: self.cols] for j in range(self.cols))),
         )
 
     def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
@@ -110,21 +112,31 @@ class IntMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = []
+        # Row i of the product is the sum of a_ik * (row k of other) over the
+        # nonzero a_ik; compress() skips the zero entries of the left factor
+        # without a Python-level step each.
+        width = other.cols
+        zero_row = (0,) * width
+        out: list[int] = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+            row_i = self.row(i)
+            acc: Sequence[int] = zero_row
+            for k in compress(range(self.cols), row_i):
+                a, row_k = row_i[k], other.entries[k * width : (k + 1) * width]
+                acc = [x + a * y for x, y in zip(acc, row_k)]
+            out.extend(acc)
+        return IntMatrix(self.rows, width, tuple(out))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.entries)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
     def format_rows(self) -> str:
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
+        # One %-format per row converts its integers without a str() call each.
+        line = " ".join(["%d"] * self.cols)
+        return "\n".join(line % self.row(i) for i in range(self.rows))
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.format_rows() if self.rows else f"(empty {self.rows}x{self.cols})"

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import lt
 from typing import Iterable, Iterator
 
 from .errors import InputError, OutOfRangeError, ParseError
@@ -77,13 +78,6 @@ class SimpleGraph:
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
         normalized = frozenset((min(u, v), max(u, v)) for u, v in edges)
         return cls(vertex_count, normalized)
-
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -222,10 +216,15 @@ class CliqueTable:
         if not self.by_size or self.by_size[0] != ((),):
             raise InputError("size-0 entry must be the single empty clique")
         for k, group in enumerate(self.by_size):
-            for c in group:
-                if len(c) != k or list(c) != sorted(set(c)):
-                    raise InputError(f"malformed clique {c} at size {k}")
-            if list(group) != sorted(set(group)):
+            # Strictly increasing means sorted and duplicate-free.  Comparing
+            # neighbouring columns checks every clique of the group at once.
+            columns = list(zip(*group))
+            if any(len(c) != k for c in group) or not all(
+                all(map(lt, a, b)) for a, b in zip(columns, columns[1:])
+            ):
+                bad = next(c for c in group if len(c) != k or list(c) != sorted(set(c)))
+                raise InputError(f"malformed clique {bad} at size {k}")
+            if not all(map(lt, group, group[1:])):
                 raise InputError(f"size-{k} cliques are not sorted and duplicate-free")
 
     @property
@@ -237,66 +236,75 @@ class CliqueTable:
         return len(self.by_size) - 1
 
 
-def _degeneracy_order(adj: list[set[int]]) -> list[int]:
-    # Repeatedly remove a vertex of minimum remaining degree (smallest id on
-    # ties) to get a deterministic degeneracy ordering.
-    n = len(adj)
-    remaining = {v: set(adj[v]) for v in range(n)}
-    order = []
-    while remaining:
-        v = min(remaining, key=lambda w: (len(remaining[w]), w))
-        order.append(v)
-        for w in remaining[v]:
-            remaining[w].discard(v)
-        del remaining[v]
-    return order
+def _neighbour_masks(graph: SimpleGraph) -> list[int]:
+    """Bit w of entry v is set exactly when v and w are adjacent."""
+    masks = [0] * graph.vertex_count
+    for u, v in graph.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
-def _maximal_cliques(adj: list[set[int]]) -> Iterator[frozenset[int]]:
-    """Pivoting clique search over a degeneracy ordering of the vertices."""
-
-    def expand(r: set[int], p: set[int], x: set[int]) -> Iterator[frozenset[int]]:
-        if not p and not x:
-            yield frozenset(r)
-            return
-        pivot = max(p | x, key=lambda w: (len(p & adj[w]), -w))
-        for v in sorted(p - adj[pivot]):
-            yield from expand(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
-
-    n = len(adj)
-    if n == 0:
-        yield frozenset()
-        return
-    order = _degeneracy_order(adj)
-    position = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = {w for w in adj[v] if position[w] > position[v]}
-        earlier = {w for w in adj[v] if position[w] < position[v]}
-        yield from expand({v}, later, earlier)
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def cliques(graph: SimpleGraph) -> CliqueTable:
-    """Complete clique enumeration, all sizes including the empty clique."""
-    adj = graph.adjacency()
-    found: set[tuple[int, ...]] = {()}
-    for maximal in _maximal_cliques(adj):
-        members = sorted(maximal)
-        for size in range(1, len(members) + 1):
-            for sub in combinations(members, size):
-                found.add(sub)
-    top = max(len(c) for c in found)
-    by_size = tuple(
-        tuple(sorted(c for c in found if len(c) == k)) for k in range(top + 1)
-    )
-    return CliqueTable(by_size)
+    """Complete clique enumeration, all sizes including the empty clique.
+
+    A depth-first search extends each clique only by common neighbours
+    numbered above its last vertex, so every clique is reached exactly once.
+    Candidate sets are integer bitsets and the search keeps an explicit
+    stack.  Children are pushed from the highest vertex down, so cliques
+    come off the stack in lexicographic order, which is the order of each
+    ``by_size`` group.
+    """
+    masks = _neighbour_masks(graph)
+    by_size: list[list[tuple[int, ...]]] = []
+    stack = [((), (1 << graph.vertex_count) - 1)]
+    while stack:
+        clique, candidates = stack.pop()
+        if len(clique) == len(by_size):
+            by_size.append([])
+        by_size[len(clique)].append(clique)
+        above = 0
+        while candidates:
+            v = candidates.bit_length() - 1
+            stack.append((clique + (v,), above & masks[v]))
+            above |= 1 << v
+            candidates ^= 1 << v
+    return CliqueTable(tuple(tuple(group) for group in by_size))
 
 
 def clique_number(graph: SimpleGraph) -> int:
-    """Size of the largest clique; 0 for the empty graph."""
-    adj = graph.adjacency()
-    return max(len(c) for c in _maximal_cliques(adj))
+    """Size of the largest clique; 0 for the empty graph.
+
+    Iterative Bron–Kerbosch search with Tomita's pivot over integer bitsets:
+    each node holds the clique size and the candidate (P) and excluded (X)
+    vertex sets, branches only on candidates outside the pivot's
+    neighbourhood, and is dropped when even taking every candidate could
+    not beat the best size found.
+    """
+    masks = _neighbour_masks(graph)
+    best = 0
+    stack = [(0, (1 << graph.vertex_count) - 1, 0)]
+    while stack:
+        size, p, x = stack.pop()
+        if size + p.bit_count() <= best:
+            continue
+        if not p:
+            best = size
+            continue
+        pivot = max(_bits(p | x), key=lambda u: (p & masks[u]).bit_count())
+        for v in _bits(p & ~masks[pivot]):
+            stack.append((size + 1, p & masks[v], x & masks[v]))
+            p ^= 1 << v
+            x |= 1 << v
+    return best
 
 
 def salvetti_complex(graph: SimpleGraph) -> ChainComplex:

@@ -5,30 +5,36 @@ refactor deletes or moves one of them."""
 import importlib.util
 from pathlib import Path
 
-from bredim import dims, homology, lattice, raag
+from bredim import dims, homology, lattice, matrix, raag
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _hooked():
+    # The entry points whose spans show where the RAAG and lattice time goes.
+    return (
+        lattice._canonical_basis,
+        raag.cliques,
+        raag.clique_number,
+        raag.salvetti_complex,
+        homology.ChainComplex.__init__,
+        homology.cohomology,
+        matrix.IntMatrix.__matmul__,
+        dims.Derivation.check,
+    )
 
 
 def test_span_hooks_install_and_detach():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    originals = (
-        lattice._canonical_basis,
-        raag.clique_number,
-        homology.ChainComplex.__init__,
-        dims.Derivation.check,
-    )
+    originals = _hooked()
     tracer = spans.Tracer()
     try:
         spans.install(tracer)
-        assert lattice._canonical_basis is not originals[0]
+        wrapped = _hooked()
     finally:
         tracer.detach()
-    assert (
-        lattice._canonical_basis,
-        raag.clique_number,
-        homology.ChainComplex.__init__,
-        dims.Derivation.check,
-    ) == originals
+    for original, hooked in zip(originals, wrapped):
+        assert hooked is not original, original.__qualname__
+    assert _hooked() == originals

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bredim import cli, verify
+from bredim import cli, raag, verify
 from bredim.lattice import read_matrix
 from bredim.matrix import IntMatrix
 
@@ -263,6 +263,39 @@ def test_exit_input_gog_rank_violation(capsys, tmp_path):
 def test_exit_input_missing_file(capsys):
     code, _, _ = run(capsys, "raag", "cd", "/nonexistent/file.graph")
     assert code == 2
+
+
+def test_exit_internal_error_has_no_traceback(capsys, monkeypatch):
+    # An exception that is not a BredimError is a bug inside bredim; it must
+    # not surface as a traceback or reuse another exit code's meaning.
+    def broken(n, k):
+        raise KeyError("injected")
+
+    monkeypatch.setattr(cli.dims, "virtually_abelian_gd", broken)
+    code, out, err = run(capsys, "dims", "vab", "--n", "3", "--k", "1")
+    assert code == 70
+    assert out == ""
+    assert err == "internal error: KeyError: 'injected'\n"
+
+
+def test_exit_internal_error_postcondition(capsys, monkeypatch, k3_file):
+    def broken(graph):
+        raise AssertionError("postcondition\nspans lines")
+
+    monkeypatch.setattr(cli.raag, "cd_raag", broken)
+    code, _, err = run(capsys, "raag", "cd", k3_file)
+    assert code == 70
+    assert err == "internal error: AssertionError: postcondition spans lines\n"
+
+
+def test_raag_cd_complete_graph_1100(capsys, tmp_path):
+    # The clique search keeps an explicit stack, so a 1100-clique is no
+    # deeper for it than a triangle.
+    path = tmp_path / "k1100.graph"
+    path.write_text(raag.write_graph(raag.complete_graph(1100)))
+    code, out, err = run(capsys, "raag", "cd", str(path))
+    assert (code, err) == (0, "")
+    assert "cd = 1100" in out.splitlines()
 
 
 def test_exit_input_nonmaximal_complement(capsys, tmp_path):

@@ -3,16 +3,28 @@
 Each entry runs one ``bredim`` command line in process and compares the
 sha256 of its stdout and its exit status with values recorded before the
 one-source-of-truth refactor of the lattice, dims, homology, gog and oracle
-code.  Any change to a byte of stdout fails here.  Two verify suites are
-also pinned check by check, so the seeded random streams behind them (and
-with them every instance count) stay the same.
+code; the three seeded graphs were recorded before the bitset clique search
+and the zero-aware matrix kernels.  Any change to a byte of stdout fails
+here.  Two verify suites are also pinned check by check, so the seeded
+random streams behind them (and with them every instance count) stay the
+same.
 """
 
 import hashlib
+import random
+from itertools import combinations
 
 import pytest
 
 from bredim import cli, verify
+
+
+def _seeded_graph(seed, vertices, density):
+    """Edge-list text of a uniform graph with ``round(density * V(V-1)/2)`` edges."""
+    pairs = list(combinations(range(vertices), 2))
+    edges = sorted(random.Random(seed).sample(pairs, round(density * len(pairs))))
+    return f"{vertices} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
 
 FILES = {
     "matrix.txt": "3 3\n2 4 4\n-6 6 12\n10 -4 -16\n",
@@ -28,6 +40,11 @@ FILES = {
     "c5.graph": "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n",
     "split.gog": "vertex A rank=2\nvertex B rank=3\nedge A B finite\nacylindrical = true\n",
     "weak.gog": "vertex A rank=2\nvertex B rank=2\nedge A B rank=2\nacylindrical = true\n",
+    # At scale: the listing pins the lexicographic order of 798 cliques, the
+    # Salvetti complex has 404 cells, and the 45-vertex graph has a 9-clique.
+    "v30.graph": _seeded_graph(30, 30, 0.45),
+    "v12.graph": _seeded_graph(12, 12, 0.8),
+    "v45.graph": _seeded_graph(45, 45, 0.6),
 }
 
 # (command line with FILES keys as file arguments, exit status,
@@ -92,6 +109,18 @@ CORPUS = [
     ("raag salvetti c5.graph", 0, {
         "human": "18313a8cbe0ff1ea5f9b87154435842f115643fb77978686999f72495f1afecf",
         "structured": "39e16a151b61f08ae5ee1348477ffd8678a0d969758bdff4b184afda6b2840ed",
+    }),
+    ("raag cliques v30.graph --list", 0, {
+        "human": "589b647fc03cfcc6777905282a45bf45ac5e8c90b93febcf9b6842fdc3af2e32",
+        "structured": "717cc1a75dec68de201a66a7f54179f21b07b634c4b2b0f51cdc46c4b818a235",
+    }),
+    ("raag salvetti v12.graph --cohomology", 0, {
+        "human": "e07af5cc2954e4de64b573ce034a1142e5d09d61e90b93f35bde48252d4ba4d8",
+        "structured": "0578a51598924d9bfcd1ab020f297c830e3dbedebe6694690c4c86a1add84066",
+    }),
+    ("raag gd v45.graph --k 2", 0, {
+        "human": "dc2bd9188ba615015148c25b9e73f164581695a1e7827814b4dae4749e439fc3",
+        "structured": "745621971e532b17a5bcdd144b0405f0263b49f2caeb61920896eb53652c3f05",
     }),
     ("dims vab --n 3 --k 1", 0, {
         "human": "fd2bfc82401e97299e86becffeb42b3c52dc7e4d568430640d7b9a1273454615",

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bredim.errors import DimensionMismatchError
 from bredim.matrix import (
@@ -37,6 +39,67 @@ def test_matmul_and_transpose():
     assert a.transpose() == M([[1, 3], [2, 4]])
     with pytest.raises(DimensionMismatchError):
         a @ M([[1, 2, 3]])
+
+
+# ---------------------------------------------------------------------------
+# Kernels against naive loops over the flat row-major entries.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _matrices(draw, rows, cols):
+    """All-zero, mostly-zero (at most two nonzero entries) or dense."""
+    values = st.integers(-(2**70), 2**70)
+    kind = draw(st.sampled_from(("zero", "sparse", "dense")))
+    if kind == "dense":
+        entries = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+    else:
+        entries = [0] * (rows * cols)
+        if kind == "sparse" and entries:
+            for pos in draw(st.lists(st.integers(0, rows * cols - 1), max_size=2)):
+                entries[pos] = draw(values.filter(bool))
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+_dims = st.integers(0, 6)
+
+
+@st.composite
+def _products(draw):
+    r, c, p = draw(_dims), draw(_dims), draw(_dims)
+    return draw(_matrices(r, c)), draw(_matrices(c, p))
+
+
+def _naive_product(a, b):
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            total = 0
+            for k in range(a.cols):
+                total += a.entries[i * a.cols + k] * b.entries[k * b.cols + j]
+            out.append(total)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_products())
+def test_matmul_matches_naive_product(pair):
+    a, b = pair
+    product = a @ b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert list(product.entries) == _naive_product(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dims.flatmap(lambda r: _dims.flatmap(lambda c: _matrices(r, c))))
+def test_transpose_and_is_zero_match_naive_loops(m):
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    for i in range(m.rows):
+        for j in range(m.cols):
+            assert t.entries[j * m.rows + i] == m.entries[i * m.cols + j]
+    assert m.is_zero() == all(x == 0 for x in m.entries)
+    assert t.transpose() == m
 
 
 def test_ext_gcd():

@@ -163,6 +163,14 @@ def test_clique_table_validation():
         CliqueTable((((0,),),))
     with pytest.raises(InputError):
         CliqueTable((((),), ((1,), (1,))))
+    with pytest.raises(InputError, match=r"malformed clique \(1, 0\) at size 2"):
+        CliqueTable((((),), ((0,), (1,)), ((1, 0),)))
+    with pytest.raises(InputError, match=r"malformed clique \(0, 0\)"):
+        CliqueTable((((),), ((0,),), ((0, 1), (0, 0))))
+    with pytest.raises(InputError, match=r"malformed clique \(2,\) at size 2"):
+        CliqueTable((((),), ((0,), (1,)), ((0, 1), (2,))))
+    with pytest.raises(InputError, match="not sorted"):
+        CliqueTable((((),), ((0,), (1,), (2,)), ((0, 2), (0, 1))))
 
 
 def test_listed_cliques_are_pairwise_adjacent_and_complete():
