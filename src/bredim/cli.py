@@ -11,6 +11,14 @@ One executable with subcommand groups::
 Exit codes: 0 success, 1 failed verify suite, 2 invalid input, 3 request
 outside a formula's established range, 64 usage error, 70 internal error (an
 unexpected exception inside bredim, reported on one line without a traceback).
+Every ``BredimError`` other than ``OutOfRangeError`` exits 2: the
+``InputError`` family, ``IncompatibleBoundsError`` (two bounds exclude each
+other), ``DerivationError`` (a derivation node does not follow from its
+premises) and an unreadable input file.
+
+``dims derive-zn`` visits each of the 5k + 1 distinct derivation nodes once.
+``--tree`` prints one line per node of the unfolded derivation, 7 * 2^k - 6
+of them, and refuses with exit 2 above ``MAX_TREE_NODES`` = 2^20 (k >= 18).
 
 Output is deterministic for identical inputs and seed.  The default format
 is human-readable ("key = value" lines, '#'-prefixed metadata); pass
@@ -24,13 +32,14 @@ BREDIM_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
 from dataclasses import dataclass, field
 
 from . import __version__, dims, gog, homology, lattice, raag, verify
-from .errors import BredimError, OutOfRangeError
+from .errors import BredimError, InputError, OutOfRangeError
 from .matrix import IntMatrix, hermite_normal_form, smith_normal_form
 
 __all__ = ["main", "run"]
@@ -41,6 +50,9 @@ EXIT_INPUT = 2
 EXIT_RANGE = 3
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+
+# Most derivation nodes ``dims derive-zn --tree`` renders.
+MAX_TREE_NODES = 2**20
 
 
 class _UsageError(Exception):
@@ -281,11 +293,17 @@ def _cmd_dims(args: argparse.Namespace) -> tuple[int, Report]:
     if op == "derive-zn":
         report.input_digest = _digest("params", f"n={args.n} k={args.k}")
         bound, tree = dims.derive_zn_upper(args.n, args.k)
+        nodes = tree.node_count()
+        if args.tree and nodes > MAX_TREE_NODES:
+            raise InputError(
+                f"--tree renders at most {MAX_TREE_NODES} derivation nodes; "
+                f"this derivation has {nodes}"
+            )
         tree.check()
         report.add("n", args.n)
         report.add("k", args.k)
         report.add("upper", bound.upper)
-        report.add("nodes", sum(1 for _ in tree.iter_nodes()))
+        report.add("nodes", nodes)
         report.add("depth", tree.depth())
         report.citations.append(tree.citation)
         report.tree = tree
@@ -362,7 +380,13 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, Report]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing does not mutate it: each call gets a fresh namespace, and no
+    argument has a mutable default.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",

@@ -352,16 +352,47 @@ class Derivation:
         Leaves sit at depth 0 relative to their parent: a pure axiom node
         has depth 0, and each nested rule application adds one.
         """
-        best = 0
-        for p in self.premises:
-            if not p.is_leaf:
-                best = max(best, 1 + p.depth())
-        return best
+        depth: dict[int, int] = {}
+        for node in self._distinct_postorder():
+            depth[id(node)] = max(
+                (1 + depth[id(p)] for p in node.premises if not p.is_leaf), default=0
+            )
+        return depth[id(self)]
+
+    def node_count(self) -> int:
+        """Number of nodes of the unfolded tree: a shared premise counts once per use."""
+        count: dict[int, int] = {}
+        for node in self._distinct_postorder():
+            count[id(node)] = 1 + sum(count[id(p)] for p in node.premises)
+        return count[id(self)]
+
+    def _distinct_postorder(self) -> list["Derivation"]:
+        """Each distinct node below and including this one, after its premises.
+
+        Premises are shared (each replay step's previous node is a premise of
+        two parents), so the unfolded tree is exponentially larger than the
+        set of distinct nodes; nodes are told apart by identity.
+        """
+        order: list[Derivation] = []
+        seen: set[int] = set()
+        stack: list[tuple[Derivation, bool]] = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node.premises)
+        return order
 
     def iter_nodes(self) -> Iterator["Derivation"]:
-        yield self
-        for p in self.premises:
-            yield from p.iter_nodes()
+        """Every node of the unfolded tree, in preorder."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.premises))
 
     def recheck_bound(self) -> DimBound:
         """Recompute this node's bound; a malformed node raises DerivationError."""
@@ -376,13 +407,26 @@ class Derivation:
             raise DerivationError(f"rule {self.rule_id}: {exc}") from exc
 
     def check(self) -> None:
-        """Recompute every node from its premises; raise on any mismatch."""
-        for node in self.iter_nodes():
+        """Recompute every node from its premises; raise on any mismatch.
+
+        Nodes are visited in preorder and each distinct node once: a node
+        met again concludes the same thing as before, and its premises
+        passed when it was first met, so the first error is the one a walk
+        of the unfolded tree would raise.
+        """
+        seen: set[int] = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
             expected = node.recheck_bound()
             if expected != node.bound:
                 raise DerivationError(
                     f"rule {node.rule_id} would conclude {expected}, node stores {node.bound}"
                 )
+            stack.extend(reversed(node.premises))
 
     def is_sound(self) -> bool:
         try:
@@ -392,34 +436,48 @@ class Derivation:
         return True
 
     def render_text(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        line = (
-            f"{pad}{self.subject} : dim_{self.family.render()} {self.bound}"
-            f"  [{self.rule_id}]"
-        )
-        parts = [line]
-        parts.extend(p.render_text(indent + 1) for p in self.premises)
-        return "\n".join(parts)
+        """The unfolded tree, one line per node, two more spaces per level.
+
+        A shared premise is rendered once; each occurrence only adds its
+        indent.
+        """
+        bodies: dict[int, str] = {}
+        lines = []
+        stack = [(self, indent)]
+        while stack:
+            node, level = stack.pop()
+            body = bodies.get(id(node))
+            if body is None:
+                body = bodies[id(node)] = (
+                    f"{node.subject} : dim_{node.family.render()} {node.bound}"
+                    f"  [{node.rule_id}]"
+                )
+            lines.append("  " * level + body)
+            for p in reversed(node.premises):
+                stack.append((p, level + 1))
+        return "\n".join(lines)
 
     def render_records(self) -> list[str]:
-        """Flat machine-readable encoding: one line per node, preorder ids."""
-        records = []
-        counter = 0
+        """Flat machine-readable encoding: one line per node, preorder ids.
 
-        def visit(node: "Derivation", parent: int | None) -> None:
-            nonlocal counter
-            node_id = counter
-            counter += 1
-            parent_text = "-" if parent is None else str(parent)
-            records.append(
-                f"node={node_id} parent={parent_text} rule={node.rule_id} "
-                f"family={node.family.render()} bound={node.bound} "
-                f"subject={node.subject}"
-            )
-            for p in node.premises:
-                visit(p, node_id)
-
-        visit(self, None)
+        A shared premise is rendered once; each occurrence only adds its
+        node id and parent id.
+        """
+        bodies: dict[int, str] = {}
+        records: list[str] = []
+        stack: list[tuple[Derivation, int | str]] = [(self, "-")]
+        while stack:
+            node, parent = stack.pop()
+            body = bodies.get(id(node))
+            if body is None:
+                body = bodies[id(node)] = (
+                    f"rule={node.rule_id} family={node.family.render()} "
+                    f"bound={node.bound} subject={node.subject}"
+                )
+            node_id = len(records)
+            records.append(f"node={node_id} parent={parent} {body}")
+            for p in reversed(node.premises):
+                stack.append((p, node_id))
         return records
 
 

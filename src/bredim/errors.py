@@ -1,7 +1,10 @@
 """Exception hierarchy shared by every bredim module.
 
-The command line maps these onto exit codes: ``InputError`` and its
-subclasses exit with status 2, ``OutOfRangeError`` with status 3.
+The command line maps these onto exit codes: ``OutOfRangeError`` exits with
+status 3, and every other ``BredimError`` with status 2.  Besides
+``InputError`` and its subclasses, that covers ``IncompatibleBoundsError``
+and ``DerivationError``, which derive from ``BredimError`` directly, and a
+plain ``BredimError`` for an input file that cannot be read.
 """
 
 

@@ -79,6 +79,16 @@ class SimpleGraph:
         normalized = frozenset((min(u, v), max(u, v)) for u, v in edges)
         return cls(vertex_count, normalized)
 
+    @classmethod
+    def _from_checked(
+        cls, vertex_count: int, edges: frozenset[tuple[int, int]]
+    ) -> "SimpleGraph":
+        """A graph whose count and edges its parser has already checked."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "vertex_count", vertex_count)
+        object.__setattr__(graph, "edges", edges)
+        return graph
+
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -100,15 +110,16 @@ def path_graph(n: int) -> SimpleGraph:
 
 
 def parse_graph(text: str) -> SimpleGraph:
-    lines = [
-        (no, raw.strip())
-        for no, raw in enumerate(text.splitlines(), start=1)
-        if raw.strip()
-    ]
-    if not lines:
+    # One pass; splitting on whitespace strips each line, and a blank line
+    # splits to [].  The edge count is checked before any edge, so the first
+    # faulty edge is held until every line has been counted.
+    numbered = enumerate(text.splitlines(), start=1)
+    for head_no, raw in numbered:
+        fields = raw.split()
+        if fields:
+            break
+    else:
         raise ParseError(1, "empty input")
-    head_no, head = lines[0]
-    fields = head.split()
     if len(fields) != 2:
         raise ParseError(head_no, "expected header 'V E'")
     try:
@@ -117,28 +128,38 @@ def parse_graph(text: str) -> SimpleGraph:
         raise ParseError(head_no, "header must hold two integers") from None
     if n_vertices < 0 or n_edges < 0:
         raise ParseError(head_no, "counts must be nonnegative")
-    body = lines[1:]
-    if len(body) != n_edges:
-        where = body[-1][0] if body else head_no
-        raise ParseError(where, f"expected {n_edges} edge lines, got {len(body)}")
     seen: set[tuple[int, int]] = set()
-    for no, line in body:
-        fields = line.split()
+    found, last_no, fault = 0, head_no, None
+    for no, raw in numbered:
+        fields = raw.split()
+        if not fields:
+            continue
+        found, last_no = found + 1, no
+        if fault is not None:
+            continue
         if len(fields) != 2:
-            raise ParseError(no, "expected an edge 'u v'")
+            fault = ParseError(no, "expected an edge 'u v'")
+            continue
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
-            raise ParseError(no, "vertices must be integers") from None
+            fault = ParseError(no, "vertices must be integers")
+            continue
+        if u > v:
+            u, v = v, u
         if u == v:
-            raise ParseError(no, f"loop at vertex {u}")
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-            raise ParseError(no, f"vertex out of range 0..{n_vertices - 1}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(no, f"duplicate edge {key}")
-        seen.add(key)
-    return SimpleGraph(n_vertices, frozenset(seen))
+            fault = ParseError(no, f"loop at vertex {u}")
+        elif u < 0 or v >= n_vertices:
+            fault = ParseError(no, f"vertex out of range 0..{n_vertices - 1}")
+        elif (u, v) in seen:
+            fault = ParseError(no, f"duplicate edge {(u, v)}")
+        else:
+            seen.add((u, v))
+    if found != n_edges:
+        raise ParseError(last_no, f"expected {n_edges} edge lines, got {found}")
+    if fault is not None:
+        raise fault
+    return SimpleGraph._from_checked(n_vertices, frozenset(seen))
 
 
 def parse_dimacs(text: str) -> SimpleGraph:
@@ -181,14 +202,14 @@ def parse_dimacs(text: str) -> SimpleGraph:
 
 def read_graph(text: str) -> SimpleGraph:
     """Read either format, deciding by the first payload token."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.split()[0] in ("c", "p", "e"):
-            return parse_dimacs(text)
-        return parse_graph(text)
-    raise ParseError(1, "empty input")
+    # Line breaks are whitespace to split(), so this is the first token of
+    # the first nonblank line.
+    head = text.split(None, 1)
+    if not head:
+        raise ParseError(1, "empty input")
+    if head[0] in ("c", "p", "e"):
+        return parse_dimacs(text)
+    return parse_graph(text)
 
 
 def write_graph(graph: SimpleGraph) -> str:

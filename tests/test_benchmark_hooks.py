@@ -5,13 +5,14 @@ refactor deletes or moves one of them."""
 import importlib.util
 from pathlib import Path
 
-from bredim import dims, homology, lattice, matrix, raag
+from bredim import cli, dims, homology, lattice, matrix, raag
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def _hooked():
-    # The entry points whose spans show where the RAAG and lattice time goes.
+    # The entry points whose spans show where the RAAG, lattice, derivation
+    # and command-line time goes.
     return (
         lattice._canonical_basis,
         raag.cliques,
@@ -21,6 +22,13 @@ def _hooked():
         homology.cohomology,
         matrix.IntMatrix.__matmul__,
         dims.Derivation.check,
+        dims.Derivation.depth,
+        dims.Derivation.iter_nodes,
+        dims.Derivation.render_text,
+        dims.Derivation.render_records,
+        dims.derive_zn_upper,
+        cli.main,
+        cli.Report.render,
     )
 
 

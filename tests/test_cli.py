@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from bredim import cli, raag, verify
+from bredim import cli, dims, raag, verify
 from bredim.lattice import read_matrix
 from bredim.matrix import IntMatrix
 
@@ -69,6 +70,30 @@ def test_derive_tree(capsys):
     assert "enlarge-family-pushout" in out
     assert "derivation-records:" in out
     assert "node=0 parent=-" in out
+
+
+def test_derive_without_tree_is_linear_in_k(capsys):
+    # The unfolded tree has 7 * 2^k - 6 nodes; only 5k + 1 of them are distinct.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dims", "derive-zn", "--n", "3000", "--k", "2999")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert f"nodes = {7 * 2**2999 - 6}" in lines
+    assert "depth = 5998" in lines
+    assert elapsed < 1.0
+
+
+def test_derive_tree_size_is_bounded(capsys):
+    _, tree17 = dims.derive_zn_upper(18, 17)
+    _, tree18 = dims.derive_zn_upper(19, 18)
+    assert tree17.node_count() <= cli.MAX_TREE_NODES < tree18.node_count()
+    code, out, err = run(capsys, "dims", "derive-zn", "--n", "19", "--k", "18", "--tree")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --tree renders at most 1048576 derivation nodes; "
+        "this derivation has 1835002\n"
+    )
 
 
 def test_raag_cd(capsys, k3_file):

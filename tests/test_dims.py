@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 
 from bredim.dims import (
@@ -344,6 +347,60 @@ def test_render_records_are_flat_and_complete():
     assert records[0].startswith("node=0 parent=-")
     text = tree.render_text()
     assert text.count("\n") + 1 == len(records)
+
+
+def _unfolded(node):
+    """Reference walk of the unfolded tree: (preorder rule ids, node count, depth)."""
+    rules = [node.rule_id]
+    count, depth = 1, 0
+    for p in node.premises:
+        p_rules, p_count, p_depth = _unfolded(p)
+        rules += p_rules
+        count += p_count
+        if p.premises:
+            depth = max(depth, 1 + p_depth)
+    return rules, count, depth
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (3, 1), (5, 3), (9, 7)])
+def test_walks_of_the_shared_derivation_match_the_unfolded_tree(n, k):
+    _, tree = derive_zn_upper(n, k)
+    rules, count, depth = _unfolded(tree)
+    assert [node.rule_id for node in tree.iter_nodes()] == rules
+    assert tree.node_count() == count == 7 * 2**k - 6
+    assert tree.depth() == depth == 2 * k
+    assert len(tree.render_records()) == count
+    assert tree.render_text().count("\n") + 1 == count
+
+
+def _substitute(node, forgeries, memo):
+    """``node`` with each ``forgeries[id(old)]`` in place of ``old``, premises kept shared."""
+    if id(node) in forgeries:
+        return forgeries[id(node)]
+    if id(node) not in memo:
+        premises = tuple(_substitute(p, forgeries, memo) for p in node.premises)
+        memo[id(node)] = dataclasses.replace(node, premises=premises)
+    return memo[id(node)]
+
+
+def test_forged_node_inside_a_shared_premise_is_detected():
+    # The base leaf claims too little, yet every parent still recomputes to
+    # its stored bound, so the only mismatch sits at the bottom of a premise
+    # that each replay step shares between two parents.  A second forgery,
+    # in the last step's fiber, comes later in preorder and must not be the
+    # one reported.
+    _, tree = derive_zn_upper(6, 3)
+    nodes = list(tree.iter_nodes())
+    base = next(node for node in nodes if node.rule_id == "aspherical-base")
+    fiber = [node for node in nodes if node.rule_id == "virtually-abelian-upper"][-1]
+    forged_base = dataclasses.replace(base, bound=DimBound.at_most(5))
+    forged_fiber = dataclasses.replace(fiber, bound=DimBound.at_most(0))
+    forged = _substitute(tree, {id(base): forged_base, id(fiber): forged_fiber}, {})
+    assert sum(node is forged_base for node in forged.iter_nodes()) == 8
+    message = "rule aspherical-base would conclude <= 6, node stores <= 5"
+    with pytest.raises(DerivationError, match=re.escape(message)):
+        forged.check()
+    assert not forged.is_sound()
 
 
 def _node(rule_id, bound=DimBound.at_most(1), premises=(), params=()):

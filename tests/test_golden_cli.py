@@ -4,10 +4,12 @@ Each entry runs one ``bredim`` command line in process and compares the
 sha256 of its stdout and its exit status with values recorded before the
 one-source-of-truth refactor of the lattice, dims, homology, gog and oracle
 code; the three seeded graphs were recorded before the bitset clique search
-and the zero-aware matrix kernels.  Any change to a byte of stdout fails
-here.  Two verify suites are also pinned check by check, so the seeded
-random streams behind them (and with them every instance count) stay the
-same.
+and the zero-aware matrix kernels, and the larger derive-zn replays, the
+flagless twins of the flag-carrying commands and ``verify dims --seed 7``
+before the derivation walkers visited each shared node once.  Any change to
+a byte of stdout fails here.  Two verify suites are also pinned check by
+check, so the seeded random streams behind them (and with them every
+instance count) stay the same.
 """
 
 import hashlib
@@ -142,6 +144,37 @@ CORPUS = [
         "human": "2547b4f6c96f7e191d3a77945baf00d5723c41344efd2e51dbd44f75f66b4637",
         "structured": "448c1a92d6e9e2b5d37d264b8125b19e86ec00f92d69ffd11e9c1ebf0553c1dd",
     }),
+    # The derivation shares premises: 7 * 2^k - 6 rendered nodes stand for
+    # 5k + 1 distinct ones.
+    ("dims derive-zn --n 8 --k 6 --tree", 0, {
+        "human": "7bbad4ddc3fe196ae2bf995cac54d47a389c0bc531b7a597f5a15bafd049502b",
+        "structured": "dfc6d497db1803da43f0f8f17b840089a519a1f1addbcd7265964a8c6c7a2467",
+    }),
+    ("dims derive-zn --n 12 --k 10 --tree", 0, {
+        "human": "399e4c21568d719ea39d5d78384274829fff67a559caa39711da844bfff6fcb4",
+        "structured": "46d57255c2bdf5918a0d2dd659de5ba87b30ff3f917eefe4705e869dbd74b878",
+    }),
+    ("dims derive-zn --n 12 --k 11", 0, {
+        "human": "5aa50e8084014c75dbbd46adeec8c7e028a346bb4e1587e7bf775178f3b8358c",
+        "structured": "6cd53b207886c1415a91dd790fafa934ab702f2caabd978d24614263917f76d0",
+    }),
+    # The flag-carrying commands above and below, without their flag.
+    ("raag cliques k4.graph", 0, {
+        "human": "fcb9a424b3e4f8a3fc08d54fb4d1b8616dc2f3acfcfd811dde79322c48e0dde8",
+        "structured": "259897e13e6f50d2faeef5cb94c86578eedb79bfa337bb2f4061e7acffc4035e",
+    }),
+    ("dims braid --n 4 --k 1", 0, {
+        "human": "e0b130bfffb7c580c4da3f16b7a6bff9c141107cc0926ba3dc5b0f98b7ebc680",
+        "structured": "51a383767f33eba5d1a43305f0aece0d7b908dfbbcc7c12cf55711cc55f52068",
+    }),
+    ("raag salvetti k4.graph", 0, {
+        "human": "5c1fb53896905d7212cd9f3d6e2aa783fa92bf24fdcd915a538c0829c28d4e90",
+        "structured": "f8b4fc99dd44e95438cb600b482ddddd42f3f5f366224f8a458a77e314691c50",
+    }),
+    ("dims derive-zn --n 4 --k 2", 0, {
+        "human": "2622f28cf1a0722110209acb88c0f5e732c4610aff47c8f757242be32233950c",
+        "structured": "49fe1dc0435361a49d293b9a68d8803fa4104b6e772e0565cfe9d0e4492b3e08",
+    }),
     ("gog gd --k 2 split.gog", 0, {
         "human": "fff8581fd6258f1e5b7b550809006f35ba4fbb9a72c14a88eb944a9de930e4e8",
         "structured": "ba914e41f0edd88d0a7a41ff3a56be545fdb40ffd645caa3e16ed941df043ded",
@@ -165,6 +198,10 @@ CORPUS = [
     ("verify homology", 0, {
         "human": "cbdb03efb8fc600a7ee3653c78b025948e8bd52cc4d70bf82263671d837cdfac",
         "structured": "bf06c88a59bee0dc8456c3e5b30060c0b0dbd6598bd456eda67a7bdc4557bf47",
+    }),
+    ("verify dims --seed 7", 0, {
+        "human": "9f4743b23681a93ce1e97959c66b211a2cce83bde6ca8e627e356b5a04d48e0a",
+        "structured": "5678569f4a93ace7d3f54e9ce81c44464aac962a451beebc68f1efbf01552c25",
     }),
 ]
 
@@ -207,7 +244,7 @@ VERIFY_RAAG = [
 ]
 
 
-def _run(capsys, tmp_path, line):
+def _argv(tmp_path, line):
     argv = []
     for token in line.split():
         if token in FILES:
@@ -215,7 +252,11 @@ def _run(capsys, tmp_path, line):
             path.write_text(FILES[token])
             token = str(path)
         argv.append(token)
-    code = cli.main(argv)
+    return argv
+
+
+def _run(capsys, tmp_path, line):
+    code = cli.main(_argv(tmp_path, line))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -235,6 +276,36 @@ def test_golden_refusals(capsys, tmp_path, line, code):
     assert err.startswith("error: ")
     if code == 2:
         assert "saturated" in err
+
+
+# A command with a flag, then the same command without it, through one parser.
+FLAG_PAIRS = [
+    ("raag cliques k4.graph --list", "raag cliques k4.graph"),
+    ("dims derive-zn --n 4 --k 2 --tree", "dims derive-zn --n 4 --k 2"),
+    ("dims braid --n 4 --k 1 --pure", "dims braid --n 4 --k 1"),
+    ("raag salvetti k4.graph --cohomology", "raag salvetti k4.graph"),
+    ("dims vab --n 3 --k 1 --format structured", "dims vab --n 3 --k 1"),
+    ("verify dims --seed 7", "verify dims"),
+]
+
+
+def _golden(line):
+    """The pinned digest of a corpus line; without --format it prints human."""
+    fmt = "human"
+    if line.endswith(" --format structured"):
+        line, fmt = line[: -len(" --format structured")], "structured"
+    return next(digests[fmt] for entry, _, digests in CORPUS if entry == line)
+
+
+def test_cached_parser_keeps_no_state_between_commands(tmp_path, monkeypatch):
+    monkeypatch.delenv("BREDIM_SEED", raising=False)
+    assert cli._build_parser() is cli._build_parser()
+    for pair in FLAG_PAIRS:
+        for line in pair:
+            code, report = cli.run(_argv(tmp_path, line))
+            assert code == 0, line
+            out = report.render(report.format)
+            assert hashlib.sha256(out.encode()).hexdigest() == _golden(line), line
 
 
 def _summary(results):

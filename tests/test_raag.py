@@ -96,6 +96,38 @@ def test_loop_construction_rejected():
         SimpleGraph(3, frozenset({(1, 1)}))
 
 
+@pytest.mark.parametrize("edge", [(1, 0), (0, 3), (-1, 2)])
+def test_bad_edge_construction_rejected(edge):
+    # The parser checks each edge itself; library callers still go through
+    # the constructor's check.
+    with pytest.raises(InputError):
+        SimpleGraph(3, frozenset({edge}))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("\n\n", "line 1: empty input"),
+        ("\n3\n", "line 2: expected header 'V E'"),
+        ("3 x\n", "line 1: header must hold two integers"),
+        ("3 -1\n", "line 1: counts must be nonnegative"),
+        ("3 2\n 0 1 \n\n", "line 2: expected 2 edge lines, got 1"),
+        # The edge count is checked before the edges themselves.
+        ("3 2\n0 0\n", "line 2: expected 2 edge lines, got 1"),
+        ("3 2\n0 1\n0 1 2\n", "line 3: expected an edge 'u v'"),
+        ("3 2\n0 1\n0 b\n", "line 3: vertices must be integers"),
+        ("3 2\n0 1\n2 2\n", "line 3: loop at vertex 2"),
+        ("3 2\n\n0 1\n3 0\n", "line 4: vertex out of range 0..2"),
+        ("3 2\n0 1\n1 0\n", "line 3: duplicate edge (0, 1)"),
+        ("3 3\n0 1\n1 1\n0 5\n", "line 3: loop at vertex 1"),
+    ],
+)
+def test_edge_list_parse_errors(text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_graph(text)
+    assert str(excinfo.value) == message
+
+
 # ---------------------------------------------------------------------------
 # cliques
 # ---------------------------------------------------------------------------
