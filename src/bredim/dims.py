@@ -319,13 +319,16 @@ CITATIONS: dict[str, str] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
     """One node of an auditable bound derivation.
 
     The conclusion is the triple (subject, family, bound); ``params`` holds
     the integers a leaf formula needs to recheck itself.  ``recheck`` of an
     inner node recomputes the bound from the premises via the rule table.
+
+    Equality and hashing are structural (two separately built equal trees
+    are equal), but visit each distinct node once, like every other walk.
     """
 
     rule_id: str
@@ -335,6 +338,44 @@ class Derivation:
     citation: str
     premises: tuple["Derivation", ...] = ()
     params: tuple[tuple[str, int], ...] = ()
+
+    def _label(self) -> tuple:
+        """Every field but the premises."""
+        return (self.rule_id, self.subject, self.family, self.bound, self.citation, self.params)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if hash(self) != hash(other):
+            return False
+        # Each pair of nodes is compared once: a pair met again is either
+        # still pending or already compared equal, since a mismatch returns.
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if len(a.premises) != len(b.premises) or a._label() != b._label():
+                return False
+            stack.extend(zip(a.premises, b.premises))
+        return True
+
+    def __hash__(self) -> int:
+        # Memoised per node (the instance is frozen, so set through object).
+        if "_hash" not in self.__dict__:
+            for node in self._distinct_postorder():
+                if "_hash" not in node.__dict__:
+                    premises = tuple(p.__dict__["_hash"] for p in node.premises)
+                    object.__setattr__(node, "_hash", hash((node._label(), premises)))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes, so the memo is not pickled.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def param(self, name: str) -> int:
         for key, value in self.params:

@@ -11,9 +11,15 @@ The operations here are the subgroup combinatorics the dimension formulas
 rest on: indices, intersections, sums, commensurability, saturation
 (the unique direct summand a finite-index overgroup lives in), direct
 complements of saturated sublattices, and unimodular automorphisms carrying
-one saturated sublattice onto another of the same rank.  The last two test
-saturation once, through the Hermite transform that also builds the basis
-completion they are read from.
+one saturated sublattice onto another of the same rank.
+
+Every answer that is unique comes from transform-free Hermite bases
+(:func:`bredim.matrix.hermite_basis`): canonical bases, intersections (one
+Hermite basis of a Zassenhaus stack), and saturation (the integer kernel of
+the integer kernel), so ``is_maximal`` is a comparison with the saturation.
+Complements and automorphisms are not unique; they are read from the
+Hermite transform of the transposed basis, which also tests saturation
+once.
 
 All values are immutable and every function is pure.
 """
@@ -35,10 +41,10 @@ from .errors import (
 from .matrix import (
     IntMatrix,
     determinant,
+    hermite_basis,
     hermite_normal_form,
     inverse_unimodular,
     left_kernel,
-    smith_normal_form,
 )
 
 __all__ = [
@@ -88,9 +94,8 @@ class IndexResult:
 
 
 def _canonical_basis(ambient_dim: int, generators: IntMatrix) -> IntMatrix:
-    h, _ = hermite_normal_form(generators)
-    nonzero = [i for i in range(h.rows) if any(h.row(i))]
-    return h.take_rows(nonzero) if nonzero else IntMatrix.from_rows([], cols=ambient_dim)
+    """The Hermite basis of the span of ``generators`` (``ambient_dim`` columns)."""
+    return hermite_basis(generators)
 
 
 def _is_canonical(basis: IntMatrix) -> bool:
@@ -107,7 +112,9 @@ def _is_canonical(basis: IntMatrix) -> bool:
         col = next((j for j, x in enumerate(row) if x), None)
         if col is None or col <= last or row[col] < 0:
             return False
-        if any(not 0 <= basis.at(r, col) < row[col] for r in range(i)):
+        # Column ``col`` of the rows above, as a strided slice.
+        above = basis.entries[col : i * basis.cols : basis.cols]
+        if any(not 0 <= x < row[col] for x in above):
             return False
         last = col
     return True
@@ -237,23 +244,21 @@ def index(sub: Sublattice, sup: Sublattice) -> IndexResult:
 
 
 def intersect(a: Sublattice, b: Sublattice) -> Sublattice:
-    """Intersection of two sublattices of the same ambient group."""
+    """Intersection of two sublattices of the same ambient group.
+
+    Zassenhaus: the rows of ``[[A, A], [B, 0]]`` span the pairs
+    ``(x @ A + y @ B, x @ A)``, and those with zero left half are exactly
+    ``(0, v)`` for ``v`` in both lattices.  In the Hermite basis of the stack
+    these rows come last, and their right halves are the intersection's
+    canonical basis.
+    """
     _require_same_ambient(a, b)
-    if a.rank == 0 or b.rank == 0:
-        return Sublattice.zero(a.ambient_dim)
-    stacked = a.basis.vstack(b.basis)
-    kern = left_kernel(stacked)
-    # A kernel row (x | y) says x @ basis_a == -y @ basis_b, a vector in both.
-    gens = []
-    for i in range(kern.rows):
-        x = kern.row(i)[: a.rank]
-        gens.append(
-            [
-                sum(x[r] * a.basis.at(r, c) for r in range(a.rank))
-                for c in range(a.ambient_dim)
-            ]
-        )
-    return Sublattice.from_generators(a.ambient_dim, gens)
+    n = a.ambient_dim
+    rows = [a.basis.row(i) * 2 for i in range(a.rank)]
+    rows += [b.basis.row(i) + (0,) * n for i in range(b.rank)]
+    h = hermite_basis(IntMatrix.from_rows(rows, cols=2 * n))
+    meet = [h.row(i)[n:] for i in range(h.rows) if not any(h.row(i)[:n])]
+    return Sublattice(n, IntMatrix.from_rows(meet, cols=n))
 
 
 def lattice_sum(a: Sublattice, b: Sublattice) -> Sublattice:
@@ -278,29 +283,25 @@ def commensurable(a: Sublattice, b: Sublattice) -> bool:
 def saturation(a: Sublattice) -> Sublattice:
     """The unique direct summand of Z^n containing ``a`` with finite index.
 
-    Computed from the Smith decomposition ``s @ basis @ t == d``: the basis
-    rows equal ``s^-1 @ d @ t^-1``, so dividing out the invariant factors
-    leaves the first ``rank`` rows of ``t^-1``, which extend to a basis of
-    Z^n and therefore span the saturation.
+    It is the kernel of a kernel: the integer vectors orthogonal to every
+    integer vector orthogonal to ``a``, which is the rational span of ``a``
+    met with Z^n.  Both kernels are Hermite bases, so the outer one is
+    already the canonical basis of the saturation.
 
     >>> saturation(sublattice_from_generators(2, [(2, 4)])).basis.to_rows()
     [[1, 2]]
     >>> saturation(sublattice_from_generators(3, [(2, 0, 0), (0, 2, 0)])).basis.to_rows()
     [[1, 0, 0], [0, 1, 0]]
     """
-    if a.rank == 0:
-        return a
-    _, _, t = smith_normal_form(a.basis)
-    t_inv = inverse_unimodular(t)
-    rows = [t_inv.row(i) for i in range(a.rank)]
-    return Sublattice.from_generators(a.ambient_dim, rows)
+    orthogonal = left_kernel(a.basis.transpose())
+    return Sublattice(a.ambient_dim, left_kernel(orthogonal.transpose()))
 
 
 def is_maximal(a: Sublattice) -> bool:
     """Whether ``a`` is a direct summand of Z^n (saturated).
 
-    Tested via the Smith normal form of the rank x n basis being all ones on
-    the diagonal.  Note this is not a condition on any single maximal minor:
+    Tested as ``saturation(a) == a``; canonical bases make that a value
+    comparison.  Note this is not a condition on any single maximal minor:
     a saturated rank-k lattice can have every k x k minor of absolute value
     larger than one, as long as the minors are coprime overall.
 
@@ -309,16 +310,15 @@ def is_maximal(a: Sublattice) -> bool:
     """
     if a.rank == 0:
         raise InputError("maximality is undefined for the rank-0 lattice")
-    d, _, _ = smith_normal_form(a.basis)
-    return all(x == 1 for x in d.diagonal()[: a.rank])
+    return saturation(a) == a
 
 
 def _completion_transform(a: Sublattice) -> IntMatrix:
     """The Hermite transform ``u`` with ``u @ a.basis^T == [I; 0]``.
 
-    That Hermite form is reached exactly when ``a`` is saturated (its Smith
-    form is all ones), so this is the saturation test of the completion
-    routines; it raises MaximalityRequiredError otherwise.
+    That Hermite form is reached exactly when ``a`` is saturated (the gcd of
+    its maximal minors is 1), so this is the saturation test of the
+    completion routines; it raises MaximalityRequiredError otherwise.
     """
     n, r = a.ambient_dim, a.rank
     h, u = hermite_normal_form(a.basis.transpose())

@@ -12,6 +12,12 @@ Conventions used throughout the package:
   forms agree after dropping zero rows.
 * Smith normal form is two-sided: ``s @ m @ t == d`` with ``s`` and ``t``
   unimodular and ``d`` diagonal, ``d[0] | d[1] | ...``, all entries >= 0.
+
+Answers that are unique (the Hermite basis of a row span, the rank, the
+canonical kernel basis, the inverse of a unimodular matrix) come from
+:func:`hermite_basis`, which never builds a transform.  The transform-tracking
+:func:`hermite_normal_form` is kept for callers that read ``u`` itself, which
+is not unique when ``m`` has dependent rows.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ __all__ = [
     "IntMatrix",
     "ext_gcd",
     "hermite_normal_form",
+    "hermite_basis",
     "smith_normal_form",
     "determinant",
     "rank",
@@ -68,7 +75,7 @@ class IntMatrix:
             if cols is None:
                 raise DimensionMismatchError("column count required for an empty matrix")
             width = cols
-        flat = tuple(int(x) for r in rows for x in r)
+        flat = tuple(map(int, chain.from_iterable(rows)))
         return cls(len(rows), width, flat)
 
     @classmethod
@@ -219,6 +226,51 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(a, n_cols), IntMatrix.from_rows(u, n_rows)
 
 
+def hermite_basis(m: IntMatrix) -> IntMatrix:
+    """The nonzero rows of the Hermite normal form of ``m``, without a transform.
+
+    Rows are inserted one at a time into an echelon basis keyed by pivot
+    column: a row meeting an occupied pivot is sheared by it when the pivot
+    divides its entry, and otherwise the two are replaced by one Bezout step
+    whose new pivot is their gcd; a row reaching a free column becomes that
+    column's pivot, made positive.  The entries above the pivots are reduced
+    once, at the end.  The Hermite form is unique, so this equals
+    ``hermite_normal_form(m)[0]`` with its zero rows dropped.
+    """
+    n_cols = m.cols
+    basis: dict[int, list[int]] = {}
+    for i in range(m.rows):
+        row = list(m.row(i))
+        for col in range(n_cols):
+            b = row[col]
+            if not b:
+                continue
+            piv = basis.get(col)
+            if piv is None:
+                basis[col] = [-v for v in row] if b < 0 else row
+                break
+            a = piv[col]
+            if b % a == 0:
+                d = b // a
+                row = [v - d * w for v, w in zip(row, piv)]
+            else:
+                g, x, y = ext_gcd(a, b)
+                p, q = a // g, b // g
+                basis[col] = [x * v + y * w for v, w in zip(piv, row)]
+                row = [p * w - q * v for v, w in zip(piv, row)]
+    pivots = sorted(basis)
+    rows = [basis[c] for c in pivots]
+    # Reducing by pivot k changes only columns at and right of it, so going
+    # left to right never undoes an earlier column.
+    for k, col in enumerate(pivots):
+        piv_row, piv_val = rows[k], rows[k][col]
+        for i in range(k):
+            q = rows[i][col] // piv_val
+            if q:
+                rows[i] = [v - q * w for v, w in zip(rows[i], piv_row)]
+    return IntMatrix(len(rows), n_cols, tuple(chain.from_iterable(rows)))
+
+
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form with both transforms.
 
@@ -334,30 +386,42 @@ def determinant(m: IntMatrix) -> int:
 
 def rank(m: IntMatrix) -> int:
     """Rank over the rationals (= number of nonzero rows of the Hermite form)."""
-    h, _ = hermite_normal_form(m)
-    return sum(1 for i in range(h.rows) if any(h.row(i)))
+    return hermite_basis(m).rows
+
+
+def _hermite_basis_with_identity(m: IntMatrix) -> IntMatrix:
+    """``hermite_basis`` of ``[m | I]``: its rows are ``(x @ m, x)`` for a basis of x."""
+    ident = IntMatrix.identity(m.rows)
+    rows = chain.from_iterable(m.row(i) + ident.row(i) for i in range(m.rows))
+    return hermite_basis(IntMatrix(m.rows, m.cols + m.rows, tuple(rows)))
 
 
 def left_kernel(m: IntMatrix) -> IntMatrix:
-    """A basis of the left kernel ``{x : x @ m == 0}`` as matrix rows.
+    """The canonical basis of the left kernel ``{x : x @ m == 0}`` as matrix rows.
 
-    The rows come from the unimodular Hermite transform, so they generate the
-    full integer kernel (a direct summand of Z^rows).
+    The rows of ``[m | I]`` span the pairs ``(x @ m, x)``; the rows of its
+    Hermite basis whose ``m``-part vanishes come last and carry, in their
+    identity part, the Hermite basis of the kernel.  The kernel is the full
+    integer kernel (a direct summand of Z^rows), and equal kernels give equal
+    bases.
     """
-    h, u = hermite_normal_form(m)
-    zero_rows = [i for i in range(h.rows) if not any(h.row(i))]
-    return u.take_rows(zero_rows) if zero_rows else IntMatrix.from_rows([], cols=m.rows)
+    h = _hermite_basis_with_identity(m)
+    kernel = [h.row(i)[m.cols :] for i in range(h.rows) if not any(h.row(i)[: m.cols])]
+    return IntMatrix.from_rows(kernel, cols=m.rows)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular matrix.
 
-    The Hermite form of a unimodular matrix is the identity, so its left
-    transform is the inverse.  Raises if ``m`` is not unimodular.
+    The Hermite basis of ``[m | I]`` is ``[I | m^-1]`` exactly when ``m`` is
+    unimodular.  Raises if ``m`` is not unimodular.
     """
     if m.rows != m.cols:
         raise DimensionMismatchError("only square matrices can be unimodular")
-    h, u = hermite_normal_form(m)
-    if h != IntMatrix.identity(m.rows):
+    n = m.rows
+    ident = IntMatrix.identity(n)
+    # [m | I] has rank n, so h has n rows.
+    h = _hermite_basis_with_identity(m)
+    if any(h.row(i)[:n] != ident.row(i) for i in range(n)):
         raise DimensionMismatchError("matrix is not unimodular")
-    return u
+    return IntMatrix(n, n, tuple(chain.from_iterable(h.row(i)[n:] for i in range(n))))

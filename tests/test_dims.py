@@ -1,5 +1,8 @@
 import dataclasses
 import re
+import signal
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -401,6 +404,64 @@ def test_forged_node_inside_a_shared_premise_is_detected():
     with pytest.raises(DerivationError, match=re.escape(message)):
         forged.check()
     assert not forged.is_sound()
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the body once ``seconds`` of wall time have passed.
+
+    A walk of the unfolded tree of a k = 40 replay would not finish; the
+    alarm turns that hang into a failure.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_equal_replays_compare_and_hash_equal_per_distinct_node():
+    # 7 * 2^40 - 6 unfolded nodes stand for 201 distinct ones.
+    start = time.perf_counter()
+    with _deadline(10):
+        _, first = derive_zn_upper(41, 40)
+        _, second = derive_zn_upper(41, 40)
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert second in {first}
+    assert time.perf_counter() - start < 1
+
+
+def test_replay_forged_in_one_deep_leaf_compares_unequal():
+    # The forgery sits under the root's second premise only, so a walk that
+    # compares the (equal) first premise before it would unfold 2^40 nodes.
+    start = time.perf_counter()
+    with _deadline(10):
+        _, tree = derive_zn_upper(41, 40)
+        previous, union = tree.premises
+        base = next(node for node in union.premises[1].iter_nodes() if node.is_leaf)
+        assert base.rule_id == "aspherical-base"
+        forged_base = dataclasses.replace(base, params=(("n", 40),))
+        forged_previous = _substitute(union.premises[1], {id(base): forged_base}, {})
+        sub_leaf, _, nested = union.premises
+        forged = dataclasses.replace(
+            tree,
+            premises=(previous, dataclasses.replace(union, premises=(sub_leaf, forged_previous, nested))),
+        )
+        assert forged.node_count() == tree.node_count()
+        assert forged != tree
+        assert tree != forged
+        assert len({tree, forged}) == 2
+        assert forged == _substitute(forged, {}, {})
+    assert time.perf_counter() - start < 1
 
 
 def _node(rule_id, bound=DimBound.at_most(1), premises=(), params=()):

@@ -6,8 +6,10 @@ one-source-of-truth refactor of the lattice, dims, homology, gog and oracle
 code; the three seeded graphs were recorded before the bitset clique search
 and the zero-aware matrix kernels, and the larger derive-zn replays, the
 flagless twins of the flag-carrying commands and ``verify dims --seed 7``
-before the derivation walkers visited each shared node once.  Any change to
-a byte of stdout fails here.  Two verify suites are also pinned check by
+before the derivation walkers visited each shared node once; the
+benchmark-scale lattices and the completion digest before the lattice layer
+moved to transform-free Hermite bases.  Any change to a byte of stdout fails
+here.  Two verify suites are also pinned check by
 check, so the seeded random streams behind them (and with them every
 instance count) stay the same.
 """
@@ -18,7 +20,7 @@ from itertools import combinations
 
 import pytest
 
-from bredim import cli, verify
+from bredim import cli, lattice, verify
 
 
 def _seeded_graph(seed, vertices, density):
@@ -26,6 +28,56 @@ def _seeded_graph(seed, vertices, density):
     pairs = list(combinations(range(vertices), 2))
     edges = sorted(random.Random(seed).sample(pairs, round(density * len(pairs))))
     return f"{vertices} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _triangular_product(rng, n, diag):
+    """Lower unitriangular times upper triangular with diagonal from ``diag``."""
+    lower = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[rng.choice(diag) if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+    return _matmul(lower, upper)
+
+
+def _saturated_rows(rng, n, r):
+    """``r`` rows of a unimodular matrix: a direct summand of Z^n.
+
+    The rows are taken from the bottom and the columns shuffled, so every
+    coordinate is used.
+    """
+    rows = _triangular_product(rng, n, (1, -1))[n - r :]
+    order = rng.sample(range(n), n)
+    return [[row[j] for j in order] for row in rows]
+
+
+def _lattice_text(n, rows):
+    return f"{n} {len(rows)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def _seeded_lattices():
+    """Benchmark-scale lattice inputs in Z^10..Z^16, drawn without bredim."""
+    rng = random.Random(2024)
+    files = {}
+    files["sat12.txt"] = _lattice_text(12, _matmul(_triangular_product(rng, 7, (1, 2, 3)), _saturated_rows(rng, 12, 7)))
+    files["sat16.txt"] = _lattice_text(16, _matmul(_triangular_product(rng, 9, (1, 2, 3)), _saturated_rows(rng, 16, 9)))
+    files["comp10.txt"] = _lattice_text(10, _saturated_rows(rng, 10, 4))
+    files["comp16.txt"] = _lattice_text(16, _saturated_rows(rng, 16, 11))
+    files["auto14a.txt"] = _lattice_text(14, _saturated_rows(rng, 14, 6))
+    files["auto14b.txt"] = _lattice_text(14, _saturated_rows(rng, 14, 6))
+    files["auto16a.txt"] = _lattice_text(16, _saturated_rows(rng, 16, 10))
+    files["auto16b.txt"] = _lattice_text(16, _saturated_rows(rng, 16, 10))
+    sup = [[rng.randint(-5, 5) for _ in range(13)] for _ in range(8)]
+    files["sup13.txt"] = _lattice_text(13, sup)
+    files["sub13.txt"] = _lattice_text(13, _matmul(_triangular_product(rng, 8, (1, 2, 3)), sup))
+    a = [[rng.randint(-5, 5) for _ in range(15)] for _ in range(9)]
+    b = _matmul(_triangular_product(rng, 9, (1, 2, 3)), a)
+    files["comm15a.txt"] = _lattice_text(15, a)
+    files["comm15b.txt"] = _lattice_text(15, b)
+    b[4] = [rng.randint(-5, 5) for _ in range(15)]
+    files["comm15c.txt"] = _lattice_text(15, b)
+    return files
 
 
 FILES = {
@@ -47,6 +99,8 @@ FILES = {
     "v30.graph": _seeded_graph(30, 30, 0.45),
     "v12.graph": _seeded_graph(12, 12, 0.8),
     "v45.graph": _seeded_graph(45, 45, 0.6),
+    # Seeded lattices in Z^10..Z^16, at the sizes the benchmark streams.
+    **_seeded_lattices(),
 }
 
 # (command line with FILES keys as file arguments, exit status,
@@ -87,6 +141,52 @@ CORPUS = [
     ("lattice map-auto line.txt line2.txt", 0, {
         "human": "4ebb090dfab37d284d7ba94da60e33d7d4c87a397d731a27602e3ad637c18abe",
         "structured": "8062f1be91c93779de4ac607de2d98f6910c4f630babc50385b690f18ca4b3c0",
+    }),
+    # Benchmark-scale lattices: saturation, complements and automorphisms
+    # pin the transform-free Hermite bases and the completion transform.
+    ("lattice saturate sat12.txt", 0, {
+        "human": "5ae3f6c2b44dfe56c3448a9aad496af89cd643356c8c3926db1e125aeb6db06d",
+        "structured": "b5f32d765c1d25171d25d96868c4c85b854638d15d152cbd31713b16ce7750ba",
+    }),
+    ("lattice saturate sat16.txt", 0, {
+        "human": "df0f6304eed4e319ca10bd63aba0c92de028765201de79adc6b7263df2116ddd",
+        "structured": "4718d3300fbae5f49607c25e4463384f0e6a4867571e690bfdf42caa6ba0ff71",
+    }),
+    ("lattice complement comp10.txt", 0, {
+        "human": "15bfce5d85343b01ff82d03ce2713235c8243bf2aae205f1d22747d72d14f1d1",
+        "structured": "fee34a6587bba6002d132af20de30613a274bf3fca8821cb1ee9cc0a86de3392",
+    }),
+    ("lattice complement comp16.txt", 0, {
+        "human": "1e3df6704758abbefad6bcd367326a225a0a9c8d2bed5b4ec49772b6de8e852d",
+        "structured": "053aa5bdb917d2fe6d239a6cee4e53ae645222fdaa230c3c60bdb9d65d2eb6ea",
+    }),
+    ("lattice map-auto auto14a.txt auto14b.txt", 0, {
+        "human": "12759830394bc6956de5348fc1f2531828af65d40cecbd4df39e21c8e94921f1",
+        "structured": "a18d1691bf3d9bee580f17ed6c2eca02bcd53224f60ce28a70f01bfa2f3d52e3",
+    }),
+    ("lattice map-auto auto16a.txt auto16b.txt", 0, {
+        "human": "11f60afa8dba10d8707b2e40aa8c694d009629defdc1a424f57b1f5104093c21",
+        "structured": "cd5a7b70524efd9dcd99190d43973d39f048c4978c495b559c8cbedf328f4848",
+    }),
+    ("lattice index sub13.txt sup13.txt", 0, {
+        "human": "402991a28c464e07e831fd2e8f1ca3a1b54f997b5c9831a6c4d7c66fabf6b8bf",
+        "structured": "25c2429a93cf74d515846a468ae2d751eaf5edab29278c7ee3ab77aa2a4c9210",
+    }),
+    ("lattice index comm15b.txt comm15a.txt", 0, {
+        "human": "a3d5e503d09d70172e59356bcd8fe725074484db0c26dbb4b5d63bcea217dbc8",
+        "structured": "709131e59cd37965c44520ca543c0be14c98d80d93e4e7566435cac2d5955ab9",
+    }),
+    ("lattice commensurable sub13.txt sup13.txt", 0, {
+        "human": "a9a8f91bfb0a92e7b565bc3653786454f71840b836acee6ceb46aab1e76d49a0",
+        "structured": "f5e28883724944787d3ac99a3475dd4f85d3eb53684b7249c06062fc7faf5cf6",
+    }),
+    ("lattice commensurable comm15a.txt comm15b.txt", 0, {
+        "human": "a0795b7c2016164ef2ce2898732a70d578c719213b8b68cdcaf45ce884565bf5",
+        "structured": "10e67a5950c9b148e483b1f3a83edeb8ee66988cc80a0c3a2e7025aac15d2410",
+    }),
+    ("lattice commensurable comm15a.txt comm15c.txt", 0, {
+        "human": "66612cad961ee8587cc03dcf9ffb9af36ec14fe66463a2d17b76d7c2bf1cb1a4",
+        "structured": "92faad39ecd4940fd152b5dc8ee047b19c6955750d88b04b56f539f2402edc08",
     }),
     ("raag cliques k4.graph --list", 0, {
         "human": "e617f8d523635b366ab5fbd44fbe74caaf4324c8f6876870b73c627e175281a3",
@@ -222,6 +322,8 @@ REFUSALS = [
     ("lattice map-auto nonsat.txt plane.txt", 2),
 ]
 
+COMPLETION_DIGEST = "d8d546a86fb9dc5033fba5e841890b2f7ef09b6dfd935dbc1e7cc8ca6b71e83a"
+
 VERIFY_LATTICE = [
     ("lattice.hnf-canonical", 60, True),
     ("lattice.snf-sound", 60, True),
@@ -306,6 +408,25 @@ def test_cached_parser_keeps_no_state_between_commands(tmp_path, monkeypatch):
             assert code == 0, line
             out = report.render(report.format)
             assert hashlib.sha256(out.encode()).hexdigest() == _golden(line), line
+
+
+def test_completion_outputs_pinned():
+    """Complements and automorphisms of 40 seeded saturated pairs, n <= 16.
+
+    Both answers are read off the Hermite transform of the transposed basis,
+    which is not unique, so this pins that transform's operation sequence.
+    """
+    rng = random.Random(40)
+    digest = hashlib.sha256()
+    for i in range(40):
+        n = 4 + i % 13
+        r = rng.randint(1, n - 1)
+        src = lattice.sublattice_from_generators(n, _saturated_rows(rng, n, r))
+        dst = lattice.sublattice_from_generators(n, _saturated_rows(rng, n, r))
+        complement = lattice.direct_complement(src)
+        auto = lattice.mapping_automorphism(src, dst)
+        digest.update(f"{complement.basis.to_rows()} {auto.to_rows()}\n".encode())
+    assert digest.hexdigest() == COMPLETION_DIGEST
 
 
 def _summary(results):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -33,7 +34,14 @@ from bredim.lattice import (
     write_matrix,
 )
 from bredim.matrix import IntMatrix, determinant, smith_normal_form
-from bredim.oracles import coordinates_matrix, coset_count, fraction_det, in_rational_span
+from bredim.oracles import (
+    coordinates_matrix,
+    coset_count,
+    fraction_det,
+    fraction_solve_left,
+    in_rational_span,
+    rational_row_space,
+)
 
 
 def lat(n, *gens):
@@ -338,6 +346,94 @@ def test_saturation_closure_properties():
         if value.rank:
             assert index(value, sat).is_finite
             assert is_maximal(sat)
+
+
+# ---------------------------------------------------------------------------
+# intersection and saturation against rational oracles at benchmark scale
+# ---------------------------------------------------------------------------
+# Inputs are drawn in plain Python with a known answer, and every check goes
+# through Fraction elimination in ``oracles``, never through a Hermite form.
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _triangular_product(rng, n, diag):
+    """Lower unitriangular times upper triangular; the determinant is the
+    product of the diagonal drawn from ``diag``."""
+    lower = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[rng.choice(diag) if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+    return _product(lower, upper), [upper[i][i] for i in range(n)]
+
+
+def _oracle_rank(rows):
+    return len(rational_row_space(rows).pivots) if rows else 0
+
+
+def _integral_combinations(basis_rows, vectors):
+    """Whether every vector is an integer combination of the independent rows."""
+    for v in vectors:
+        x = fraction_solve_left(basis_rows, v)
+        if x is None or any(c.denominator != 1 for c in x):
+            return False
+    return True
+
+
+def _same_lattice(rows_a, rows_b):
+    return _integral_combinations(rows_a, rows_b) and _integral_combinations(rows_b, rows_a)
+
+
+def _independent_rows(rng, rows, n):
+    while True:
+        out = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rows)]
+        if _oracle_rank(out) == rows:
+            return out
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_saturation_matches_rational_oracle_at_scale(n):
+    rng = random.Random(f"saturation-oracle:{n}")
+    for _ in range(3):
+        r = rng.randint(1, n - 1)
+        unimodular, _ = _triangular_product(rng, n, (1, -1))
+        order = rng.sample(range(n), n)
+        base = [[row[j] for j in order] for row in unimodular[n - r :]]
+        coeffs, diag = _triangular_product(rng, r, (1, 1, 2, 3))
+        gens = _product(coeffs, base)
+        value = sublattice_from_generators(n, gens + [[x + y for x, y in zip(gens[0], gens[-1])]])
+        sat = saturation(value)
+        # base spans a direct summand, and gens has finite index in it.
+        assert sat.rank == r
+        assert _same_lattice(sat.basis.to_rows(), base)
+        assert is_maximal(sat)
+        assert is_maximal(value) == (abs(math.prod(diag)) == 1)
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_intersect_matches_rational_oracle_at_scale(n):
+    rng = random.Random(f"intersect-oracle:{n}")
+    for _ in range(3):
+        ra = rng.randint(1, n - 1)
+        a = _independent_rows(rng, ra, n)
+        coeffs, _ = _triangular_product(rng, ra, (1, 2, 3))
+        inner = _product(coeffs, a)
+        # Rows independent of a over Q: a meets the lattice they add to
+        # ``inner`` exactly in ``inner``.
+        while True:
+            extra = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(0, n - ra))]
+            if _oracle_rank(a + extra) == ra + len(extra):
+                break
+        meet = intersect(lat(n, *a), lat(n, *(inner + extra)))
+        assert _same_lattice(meet.basis.to_rows(), inner)
+        # Two unrelated lattices: the meet lies in both, with the rank
+        # rank a + rank b - rank(a + b).
+        b = _independent_rows(rng, rng.randint(1, n - 1), n)
+        meet = intersect(lat(n, *a), lat(n, *b))
+        rows = meet.basis.to_rows()
+        assert meet.rank == ra + len(b) - _oracle_rank(a + b)
+        assert _integral_combinations(a, rows) and _integral_combinations(b, rows)
+        assert all(in_rational_span(a, row) and in_rational_span(b, row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from bredim.matrix import (
     IntMatrix,
     determinant,
     ext_gcd,
+    hermite_basis,
     hermite_normal_form,
     inverse_unimodular,
     left_kernel,
@@ -245,3 +246,111 @@ def test_inverse_unimodular():
     assert (v @ u) == IntMatrix.identity(2)
     with pytest.raises(DimensionMismatchError):
         inverse_unimodular(M([[2, 0], [0, 1]]))
+
+
+# ---------------------------------------------------------------------------
+# Transform-free Hermite bases, kernels and inverses.
+# ---------------------------------------------------------------------------
+
+_BIG = 10**6
+
+
+@st.composite
+def _hermite_inputs(draw):
+    """Shapes 0..8 x 0..8, entries up to 10^6 in size, with zero,
+    duplicate and dependent rows mixed in."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-_BIG, _BIG))
+    out = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("random", "random", "zero", "copy", "combination")))
+        if kind == "zero" or (kind != "random" and not out):
+            row = [0] * cols
+        elif kind == "copy":
+            row = list(draw(st.sampled_from(out)))
+        elif kind == "combination":
+            c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            first, second = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            row = [c * x + d * y for x, y in zip(first, second)]
+            if any(abs(x) > _BIG for x in row):
+                row = list(first)
+        else:
+            row = draw(st.lists(entry, min_size=cols, max_size=cols))
+        out.append(row)
+    return M(out, cols=cols)
+
+
+def _nonzero_rows(m):
+    return M([m.row(i) for i in range(m.rows) if any(m.row(i))], cols=m.cols)
+
+
+def _is_hermite(h):
+    """Pivots positive and strictly moving right, entries above in [0, pivot)."""
+    last = -1
+    for i in range(h.rows):
+        row = h.row(i)
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None or col <= last or row[col] <= 0:
+            return False
+        if any(not 0 <= h.at(r, col) < row[col] for r in range(i)):
+            return False
+        last = col
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hermite_inputs())
+def test_hermite_basis_is_the_nonzero_part_of_the_hermite_form(m):
+    h = hermite_basis(m)
+    assert h == _nonzero_rows(hermite_normal_form(m)[0])
+    assert _is_hermite(h)
+    assert rank(m) == h.rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hermite_inputs())
+def test_left_kernel_is_the_canonical_kernel_basis(m):
+    k = left_kernel(m)
+    assert k.cols == m.rows
+    assert (k @ m).is_zero()
+    assert k.rows == m.rows - _nonzero_rows(hermite_normal_form(m)[0]).rows
+    assert _is_hermite(k)
+
+
+@st.composite
+def _unimodular(draw):
+    """A product of a lower and an upper unitriangular matrix, signs and a
+    row permutation: unimodular by construction."""
+    n = draw(st.integers(0, 8))
+    small = st.integers(-3, 3)
+    lower = [[1 if i == j else draw(small) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[draw(st.sampled_from((1, -1))) if i == j else draw(small) if j > i else 0 for j in range(n)] for i in range(n)]
+    product = M(lower, cols=n) @ M(upper, cols=n)
+    order = draw(st.permutations(range(n)))
+    return M([product.row(i) for i in order], cols=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unimodular())
+def test_inverse_unimodular_inverts(u):
+    v = inverse_unimodular(u)
+    assert v @ u == IntMatrix.identity(u.rows)
+    assert u @ v == IntMatrix.identity(u.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unimodular().filter(lambda u: u.rows > 0), st.data())
+def test_inverse_unimodular_refuses_singular_and_non_unimodular(u, data):
+    n = u.rows
+    i = data.draw(st.integers(0, n - 1))
+    factor = data.draw(st.sampled_from((0, 2, -2, 3, 7)))
+    scaled = [[factor * x for x in u.row(r)] if r == i else list(u.row(r)) for r in range(n)]
+    with pytest.raises(DimensionMismatchError):
+        inverse_unimodular(M(scaled, cols=n))
+    if n > 1:
+        j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        duplicated = [list(u.row(j)) if r == i else list(u.row(r)) for r in range(n)]
+        with pytest.raises(DimensionMismatchError):
+            inverse_unimodular(M(duplicated, cols=n))
+    with pytest.raises(DimensionMismatchError):
+        inverse_unimodular(M([list(u.row(r)) + [0] for r in range(n)], cols=n + 1))
