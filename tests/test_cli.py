@@ -96,6 +96,16 @@ def test_derive_tree_size_is_bounded(capsys):
     )
 
 
+def test_derive_k_is_bounded(capsys):
+    limit = cli.MAX_DERIVE_K
+    code, out, err = run(capsys, "dims", "derive-zn", "--n", str(limit + 2), "--k", str(limit))
+    assert (code, err) == (0, "")
+    assert f"upper = {2 * limit + 2}" in out.splitlines()
+    code, out, err = run(capsys, "dims", "derive-zn", "--n", str(limit + 2), "--k", str(limit + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: derive-zn replays at most k = {limit}; got k = {limit + 1}\n"
+
+
 def test_raag_cd(capsys, k3_file):
     code, out, _ = run(capsys, "raag", "cd", k3_file)
     assert code == 0

@@ -9,17 +9,23 @@ flagless twins of the flag-carrying commands and ``verify dims --seed 7``
 before the derivation walkers visited each shared node once; the
 benchmark-scale lattices and the completion digest before the lattice layer
 moved to transform-free Hermite bases.  Any change to a byte of stdout fails
-here.  Two verify suites are also pinned check by
+here.  One command per group also runs as ``python -m bredim`` in a fresh
+interpreter.  Two verify suites are also pinned check by
 check, so the seeded random streams behind them (and with them every
 instance count) stay the same.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import bredim
 from bredim import cli, lattice, verify
 
 
@@ -397,6 +403,31 @@ def _golden(line):
     if line.endswith(" --format structured"):
         line, fmt = line[: -len(" --format structured")], "structured"
     return next(digests[fmt] for entry, _, digests in CORPUS if entry == line)
+
+
+# One command per group, each run as ``python -m bredim`` in a fresh
+# interpreter: in process, earlier tests have already loaded every layer, so
+# a layer bound wrongly at start-up shows only in a fresh interpreter.
+FRESH = [
+    "lattice index sub.txt sup.txt",
+    "raag cd k4.graph",
+    "dims vab --n 3 --k 1",
+    "gog gd --k 2 split.gog",
+    "verify dims --seed 7",
+]
+
+
+@pytest.mark.parametrize("line", FRESH)
+def test_golden_stdout_fresh_interpreter(tmp_path, line):
+    env = {key: value for key, value in os.environ.items() if key != "BREDIM_SEED"}
+    env["PYTHONPATH"] = str(Path(bredim.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "bredim", *_argv(tmp_path, line)],
+        capture_output=True, env=env, timeout=60,
+    )
+    code = next(code for entry, code, _ in CORPUS if entry == line)
+    assert (done.returncode, done.stderr) == (code, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == _golden(line)
 
 
 def test_cached_parser_keeps_no_state_between_commands(tmp_path, monkeypatch):
