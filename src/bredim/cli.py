@@ -21,6 +21,12 @@ and refuses with exit 2 above ``MAX_DERIVE_K`` = 10000 before building any.
 ``--tree`` prints one line per node of the unfolded derivation, 7 * 2^k - 6
 of them, and refuses with exit 2 above ``MAX_TREE_NODES`` = 2^20 (k >= 18).
 
+``raag cliques`` counts cliques without listing them.  ``--list`` prints
+every clique and refuses with exit 2 above ``MAX_LISTED_CLIQUES`` = 2^18 of
+them; ``raag salvetti`` prints every boundary entry and refuses with exit 2
+above ``MAX_SALVETTI_ENTRIES`` = 4,000,000.  Both refuse after counting and
+before building anything.
+
 Output is deterministic for identical inputs and seed.  The default format
 is human-readable ("key = value" lines, '#'-prefixed metadata); pass
 ``--format structured`` for one ``key=value`` pair per line.  Every value
@@ -77,6 +83,13 @@ EXIT_INTERNAL = 70
 MAX_DERIVE_K = 10_000
 # Most derivation nodes ``dims derive-zn --tree`` renders.
 MAX_TREE_NODES = 2**20
+# Most cliques ``raag cliques --list`` prints, the empty clique included.
+# At the limit (K18) it takes about 1 s and 120 MB; K20 took 5 s and 420 MB.
+MAX_LISTED_CLIQUES = 2**18
+# Most boundary entries ``raag salvetti`` builds and prints: one dense zero
+# block per degree, sum(counts[k - 1] * counts[k]) entries in all.  At the
+# limit ``--cohomology`` takes about 0.9 s and 77 MB and prints 8 MB.
+MAX_SALVETTI_ENTRIES = 4_000_000
 
 
 class _UsageError(Exception):
@@ -236,18 +249,23 @@ def _cmd_raag(args: argparse.Namespace) -> tuple[int, Report]:
     report.input_digest = digest
     graph = raag.read_graph(text)
     if op == "cliques":
-        table = raag.cliques(graph)
-        report.add("clique_number", table.clique_number)
-        for size, count in enumerate(table.counts):
+        counts = raag.clique_counts(graph)
+        if args.list and sum(counts) > MAX_LISTED_CLIQUES:
+            raise InputError(
+                f"--list prints at most {MAX_LISTED_CLIQUES} cliques; "
+                f"this graph has {sum(counts)}"
+            )
+        report.add("clique_number", len(counts) - 1)
+        for size, count in enumerate(counts):
             report.add(f"count[{size}]", count)
         if args.list:
-            for size, group in enumerate(table.by_size):
+            for size, group in enumerate(raag.cliques(graph).by_size):
                 for members in group:
                     report.add(f"clique[{size}]", " ".join(map(str, members)) or "-")
         return EXIT_OK, report
     if op == "cd":
         report.add("cd", raag.cd_raag(graph))
-        report.citations.append(dims.CITATIONS["raag-cd"])
+        report.citations.append(raag.RAAG_CD_CITATION)
         return EXIT_OK, report
     if op == "gd":
         value = raag.gd_fk_raag(graph, args.k)
@@ -256,11 +274,11 @@ def _cmd_raag(args: argparse.Namespace) -> tuple[int, Report]:
         # gd = cd + k, so cd needs no second clique search.
         report.add("cd", value - args.k)
         report.notes.append(raag.RAAG_GD_EQUALS_CD_NOTE)
-        report.citations.append(dims.CITATIONS["raag-fk-exact"])
-        report.citations.append(dims.CITATIONS["raag-cd"])
+        report.citations.append(raag.RAAG_FK_EXACT_CITATION)
+        report.citations.append(raag.RAAG_CD_CITATION)
         return EXIT_OK, report
     if op == "salvetti":
-        complex_ = raag.salvetti_complex(graph)
+        complex_ = raag.salvetti_complex(graph, max_entries=MAX_SALVETTI_ENTRIES)
         report.blocks.append(
             ("", homology.write_chain_complex(complex_).splitlines())
         )

@@ -284,14 +284,6 @@ CITATIONS: dict[str, str] = {
         "diamonds has vcd 4d - 1 and a free abelian subgroup of that rank, "
         "so its F_k-dimension is at least 4d + k - 1 for 0 <= k < 4d - 1"
     ),
-    "raag-cd": (
-        "the cohomological and geometric dimension of a right-angled Artin "
-        "group equal the clique number of its defining graph"
-    ),
-    "raag-fk-exact": (
-        "a right-angled Artin group with cohomological dimension cd has "
-        "F_k-dimension exactly cd + k for 0 <= k < cd"
-    ),
     "embedded-torus": (
         "the cube complex of the graph contains an embedded torus of "
         "dimension equal to the clique number, giving a free abelian "

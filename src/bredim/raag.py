@@ -20,18 +20,26 @@ Dimension formulas implemented here:
 Requests with k >= cd are refused rather than extrapolated: in that range
 the formula is not established, and the degenerate answer would be a
 different statement.
+
+Cliques are counted without being listed, by pivot counting (Jain and
+Seshadhri, "The Power of Pivoting for Exact Clique Counting", WSDM 2020):
+the search tree branches on a pivot and its non-neighbours, and each leaf
+stands for every subset of the pivots it took.  Its cost follows the search
+tree, not the number of cliques.  Only :func:`cliques` lists them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from operator import lt
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InputError, OutOfRangeError, ParseError
-from .homology import ChainComplex
-from .matrix import IntMatrix
+
+if TYPE_CHECKING:
+    from .homology import ChainComplex
 
 __all__ = [
     "SimpleGraph",
@@ -41,19 +49,29 @@ __all__ = [
     "read_graph",
     "write_graph",
     "cliques",
+    "clique_counts",
     "clique_number",
     "salvetti_complex",
     "cd_raag",
     "gd_fk_raag",
-    "embedded_torus_rank",
     "complete_graph",
     "path_graph",
     "RAAG_GD_EQUALS_CD_NOTE",
+    "RAAG_CD_CITATION",
+    "RAAG_FK_EXACT_CITATION",
 ]
 
 RAAG_GD_EQUALS_CD_NOTE = (
     "the geometric and Bredon-cohomological dimensions agree for this family "
     "and group class; the value reported is both"
+)
+RAAG_CD_CITATION = (
+    "the cohomological and geometric dimension of a right-angled Artin "
+    "group equal the clique number of its defining graph"
+)
+RAAG_FK_EXACT_CITATION = (
+    "a right-angled Artin group with cohomological dimension cd has "
+    "F_k-dimension exactly cd + k for 0 <= k < cd"
 )
 
 
@@ -274,6 +292,20 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _pivot(pool: int, p: int, masks: list[int]) -> int:
+    """The vertex of ``pool`` with the most neighbours in ``p``; the lowest
+    such vertex on a tie."""
+    best, most = -1, -1
+    while pool:
+        low = pool & -pool
+        u = low.bit_length() - 1
+        degree = (p & masks[u]).bit_count()
+        if degree > most:
+            best, most = u, degree
+        pool ^= low
+    return best
+
+
 def cliques(graph: SimpleGraph) -> CliqueTable:
     """Complete clique enumeration, all sizes including the empty clique.
 
@@ -320,7 +352,7 @@ def clique_number(graph: SimpleGraph) -> int:
         if not p:
             best = size
             continue
-        pivot = max(_bits(p | x), key=lambda u: (p & masks[u]).bit_count())
+        pivot = _pivot(p | x, p, masks)
         for v in _bits(p & ~masks[pivot]):
             stack.append((size + 1, p & masks[v], x & masks[v]))
             p ^= 1 << v
@@ -328,15 +360,62 @@ def clique_number(graph: SimpleGraph) -> int:
     return best
 
 
-def salvetti_complex(graph: SimpleGraph) -> ChainComplex:
+def clique_counts(graph: SimpleGraph) -> tuple[int, ...]:
+    """Number of cliques of each size, from the empty clique up to the
+    clique number; equal to ``cliques(graph).counts``.
+
+    Pivot counting over integer bitsets with an explicit stack.  A node
+    holds the vertices taken (``held``), the pivots taken (``pivots``) and
+    the candidates adjacent to all of them.  Every clique among the
+    candidates either lies in the pivot's closed neighbourhood, counted by
+    one child that takes the pivot as a pivot, or has a first member among
+    the pivot's non-neighbours, counted by one child per non-neighbour that
+    takes it as held and drops the earlier ones.  A leaf stands for the
+    held vertices with any j of its pivots: ``comb(pivots, j)`` cliques of
+    size ``held + j``.
+    """
+    masks = _neighbour_masks(graph)
+    counts = [0] * (graph.vertex_count + 1)
+    stack = [(0, 0, (1 << graph.vertex_count) - 1)]
+    while stack:
+        held, pivots, p = stack.pop()
+        if not p:
+            for j in range(pivots + 1):
+                counts[held + j] += comb(pivots, j)
+            continue
+        pivot = _pivot(p, p, masks)
+        stack.append((held, pivots + 1, p & masks[pivot]))
+        p ^= 1 << pivot
+        for v in _bits(p & ~masks[pivot]):
+            stack.append((held + 1, pivots, p & masks[v]))
+            p ^= 1 << v
+    while not counts[-1]:
+        counts.pop()
+    return tuple(counts)
+
+
+def salvetti_complex(graph: SimpleGraph, max_entries: int | None = None) -> ChainComplex:
     """The cube complex of the graph as a chain complex.
 
     One k-cell per k-clique; every boundary map is identically zero because
     opposite faces of each cube are identified with cancelling orientations.
     The cohomology cross-check against the clique counts is enforced by the
     test suite rather than assumed here.
+
+    The boundaries are dense, ``sum(counts[k - 1] * counts[k])`` entries in
+    all; above ``max_entries`` of them an ``InputError`` is raised before
+    any is built.
     """
-    counts = cliques(graph).counts
+    from .homology import ChainComplex
+    from .matrix import IntMatrix
+
+    counts = clique_counts(graph)
+    entries = sum(a * b for a, b in zip(counts, counts[1:]))
+    if max_entries is not None and entries > max_entries:
+        raise InputError(
+            f"the Salvetti complex is built with at most {max_entries} boundary "
+            f"entries; this graph's has {entries}"
+        )
     boundaries = tuple(
         IntMatrix.zero(counts[k - 1], counts[k]) for k in range(1, len(counts))
     )
@@ -359,8 +438,3 @@ def gd_fk_raag(graph: SimpleGraph, k: int) -> int:
             f"the formula covers 0 <= k < {cd} for this graph; got k={k}"
         )
     return cd + k
-
-
-def embedded_torus_rank(graph: SimpleGraph) -> int:
-    """Rank of the free abelian subgroup witnessed by the largest embedded torus."""
-    return clique_number(graph)

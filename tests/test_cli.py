@@ -1,5 +1,9 @@
 import random
+import subprocess
+import sys
 import time
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -331,6 +335,108 @@ def test_raag_cd_complete_graph_1100(capsys, tmp_path):
     code, out, err = run(capsys, "raag", "cd", str(path))
     assert (code, err) == (0, "")
     assert "cd = 1100" in out.splitlines()
+
+
+# Runs ``bredim`` in a child process whose address space is capped, so an
+# allocation the limits fail to stop shows as a MemoryError (exit 70).
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from bredim import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+SRC = str(Path(raag.__file__).resolve().parents[1])
+
+
+def _run_capped(tmp_path, graph, *argv):
+    path = tmp_path / "graph.txt"
+    path.write_text(raag.write_graph(graph))
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED, SRC, "raag", argv[0], str(path), *argv[1:]],
+        capture_output=True, text=True, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def _seeded_graph(seed, vertices, density):
+    pairs = list(combinations(range(vertices), 2))
+    edges = random.Random(seed).sample(pairs, round(density * len(pairs)))
+    return raag.SimpleGraph.from_edges(vertices, edges)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [raag.complete_graph(60), _seeded_graph(60, 60, 0.8)],
+    ids=["K60", "G(60, 0.8)"],
+)
+def test_raag_cliques_counts_without_listing(tmp_path, graph):
+    # K60 has 2^60 cliques and the dense graph about 2 * 10^7; counting
+    # follows the pivot search tree, not the cliques.
+    start = time.perf_counter()
+    code, out, err = _run_capped(tmp_path, graph, "cliques")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    values = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+    masks = [0] * graph.vertex_count
+    for u, v in graph.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    triangles = sum((masks[u] & masks[v]).bit_count() for u, v in graph.edges) // 3
+    assert values["clique_number"] == str(raag.clique_number(graph))
+    assert values["count[1]"] == str(graph.vertex_count)
+    assert values["count[2]"] == str(len(graph.edges))
+    assert values["count[3]"] == str(triangles)
+    assert elapsed < 3.0
+
+
+def _with_isolated(graph, extra):
+    return raag.SimpleGraph.from_edges(graph.vertex_count + extra, graph.edges)
+
+
+def test_cliques_list_limit(tmp_path):
+    # K_n has 2^n cliques; each isolated vertex adds one more.
+    n = cli.MAX_LISTED_CLIQUES.bit_length() - 1
+    at_limit = raag.complete_graph(n)
+    assert sum(raag.clique_counts(at_limit)) == cli.MAX_LISTED_CLIQUES
+    code, out, err = _run_capped(tmp_path, at_limit, "cliques", "--list")
+    assert (code, err) == (0, "")
+    assert out.count("\nclique[") == cli.MAX_LISTED_CLIQUES
+    code, out, err = _run_capped(tmp_path, _with_isolated(at_limit, 1), "cliques", "--list")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: --list prints at most {cli.MAX_LISTED_CLIQUES} cliques; "
+        f"this graph has {cli.MAX_LISTED_CLIQUES + 1}\n"
+    )
+
+
+def _salvetti_entries(graph):
+    counts = raag.clique_counts(graph)
+    return sum(a * b for a, b in zip(counts, counts[1:]))
+
+
+def test_salvetti_entry_limit(tmp_path):
+    # K12 with a vertex joined to ten of its vertices has just under 4 * 10^6
+    # boundary entries; each isolated vertex adds 1 + count[2] more.
+    limit = cli.MAX_SALVETTI_ENTRIES
+    base = raag.SimpleGraph.from_edges(
+        13, [*combinations(range(12), 2), *((v, 12) for v in range(10))]
+    )
+    step = 1 + raag.clique_counts(base)[2]
+    under = _with_isolated(base, (limit - _salvetti_entries(base)) // step)
+    over = _with_isolated(under, 1)
+    assert _salvetti_entries(under) <= limit < _salvetti_entries(over)
+    code, out, err = _run_capped(tmp_path, under, "salvetti", "--cohomology")
+    assert (code, err) == (0, "")
+    assert out.startswith("# command: raag salvetti\n")
+    assert "H^0 = betti=1 torsion=-" in out.splitlines()
+    for graph in (over, raag.complete_graph(16)):
+        code, out, err = _run_capped(tmp_path, graph, "salvetti", "--cohomology")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the Salvetti complex is built with at most {limit} boundary "
+            f"entries; this graph's has {_salvetti_entries(graph)}\n"
+        )
 
 
 def test_exit_input_nonmaximal_complement(capsys, tmp_path):

@@ -8,9 +8,10 @@ and the zero-aware matrix kernels, and the larger derive-zn replays, the
 flagless twins of the flag-carrying commands and ``verify dims --seed 7``
 before the derivation walkers visited each shared node once; the
 benchmark-scale lattices and the completion digest before the lattice layer
-moved to transform-free Hermite bases.  Any change to a byte of stdout fails
-here.  One command per group also runs as ``python -m bredim`` in a fresh
-interpreter.  Two verify suites are also pinned check by
+moved to transform-free Hermite bases; the clique counts of the three dense
+graphs before ``raag cliques`` counted by pivoting.  Any change to a byte of
+stdout fails here.  One command per group also runs as ``python -m bredim``
+in a fresh interpreter.  Two verify suites are also pinned check by
 check, so the seeded random streams behind them (and with them every
 instance count) stay the same.
 """
@@ -105,6 +106,8 @@ FILES = {
     "v30.graph": _seeded_graph(30, 30, 0.45),
     "v12.graph": _seeded_graph(12, 12, 0.8),
     "v45.graph": _seeded_graph(45, 45, 0.6),
+    "v60.graph": _seeded_graph(60, 60, 0.5),
+    "v80.graph": _seeded_graph(80, 80, 0.4),
     # Seeded lattices in Z^10..Z^16, at the sizes the benchmark streams.
     **_seeded_lattices(),
 }
@@ -229,6 +232,19 @@ CORPUS = [
     ("raag gd v45.graph --k 2", 0, {
         "human": "dc2bd9188ba615015148c25b9e73f164581695a1e7827814b4dae4749e439fc3",
         "structured": "745621971e532b17a5bcdd144b0405f0263b49f2caeb61920896eb53652c3f05",
+    }),
+    # Counted without listing: 27,517, 18,515 and 16,292 cliques.
+    ("raag cliques v45.graph", 0, {
+        "human": "280eb07be57a0f287ce9b04a81b5f7737ae3c68131566eea91ef5c153a7d934c",
+        "structured": "12297445cf36eec39143ef9dd73dddc1a18c3ab80b72b15ec660df163b9722fe",
+    }),
+    ("raag cliques v60.graph", 0, {
+        "human": "a2d9118bbcf90877d8a75e23d2c220959eed91c022321f6d78678f9b5ed1610c",
+        "structured": "b9187797b5d9c125904a8a01a48f5f6b9cf72db95681d81f473aa068d85b9a0b",
+    }),
+    ("raag cliques v80.graph", 0, {
+        "human": "6dcc6155a5cf239d8ca2f105524319ed247a10ab37245ed5da6cbe34f8381a86",
+        "structured": "b128e25850018d80f176a1def139a60abd6a3671bb6f19c200e3772e9b61a20f",
     }),
     ("dims vab --n 3 --k 1", 0, {
         "human": "fd2bfc82401e97299e86becffeb42b3c52dc7e4d568430640d7b9a1273454615",

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bredim.errors import InputError, OutOfRangeError, ParseError
 from bredim.homology import cohomology, homology
@@ -10,10 +12,10 @@ from bredim.raag import (
     CliqueTable,
     SimpleGraph,
     cd_raag,
+    clique_counts,
     clique_number,
     cliques,
     complete_graph,
-    embedded_torus_rank,
     gd_fk_raag,
     parse_dimacs,
     parse_graph,
@@ -190,6 +192,46 @@ def test_clique_counts_match_subset_oracle():
         assert list(cliques(graph).counts) == clique_counts_bitmask(n, edges)
 
 
+@st.composite
+def _graphs(draw, max_vertices):
+    n = draw(st.integers(0, max_vertices))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [pair for pair, kept in zip(pairs, keep) if kept]
+
+
+@settings(max_examples=250, deadline=None)
+@given(_graphs(14))
+def test_clique_counts_match_subset_oracle_property(graph_data):
+    n, edges = graph_data
+    graph = SimpleGraph.from_edges(n, edges)
+    counts = clique_counts(graph)
+    assert list(counts) == clique_counts_bitmask(n, edges)
+    assert len(counts) - 1 == clique_number(graph)
+
+
+# The (V, density) shapes the benchmark's raag-complex workload draws.
+BENCHMARK_SHAPES = [
+    (30, 0.2), (30, 0.45), (30, 0.7), (45, 0.2), (45, 0.4), (45, 0.6),
+    (60, 0.2), (60, 0.35), (60, 0.5), (80, 0.25), (80, 0.4), (100, 0.3),
+]
+
+
+@pytest.mark.parametrize("vertices,density", BENCHMARK_SHAPES)
+def test_clique_counts_match_listing_at_benchmark_shapes(vertices, density):
+    pairs = list(combinations(range(vertices), 2))
+    edges = random.Random(vertices * 1000 + round(100 * density)).sample(
+        pairs, round(density * len(pairs))
+    )
+    graph = SimpleGraph.from_edges(vertices, edges)
+    assert clique_counts(graph) == cliques(graph).counts
+
+
+def test_clique_counts_of_complete_graphs():
+    for n in range(61):
+        assert clique_counts(complete_graph(n)) == tuple(binomial(n, k) for k in range(n + 1))
+
+
 def test_clique_table_validation():
     with pytest.raises(InputError):
         CliqueTable((((0,),),))
@@ -291,7 +333,7 @@ def test_gd_out_of_range():
 
 
 def test_torus_rank_examples():
-    assert embedded_torus_rank(complete_graph(5)) == 5
-    assert embedded_torus_rank(SimpleGraph.from_edges(2, [])) == 1
-    assert embedded_torus_rank(petersen()) == 2
-    assert embedded_torus_rank(petersen()) == cd_raag(petersen())
+    # The largest torus of the complex is its top cube: its dimension is the
+    # clique number, which is also cd.
+    for graph, rank in ((complete_graph(5), 5), (SimpleGraph.from_edges(2, []), 1), (petersen(), 2)):
+        assert salvetti_complex(graph).top_degree == rank == cd_raag(graph)

@@ -64,8 +64,7 @@ def test_import_runs_no_layer(tmp_path):
     "argv,layers",
     [
         (["dims", "vab", "--n", "3", "--k", "1"], {"dims"}),
-        # The citation lines of raag cd and gd live in dims.
-        (["raag", "cd", "k4.graph"], {"raag", "homology", "matrix", "dims"}),
+        (["raag", "cd", "k4.graph"], {"raag"}),
         (["lattice", "index", "z2.txt", "z2.txt"], {"lattice", "matrix"}),
         (["gog", "gd", "--k", "2", "split.gog"], {"gog", "dims"}),
     ],
