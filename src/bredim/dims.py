@@ -284,11 +284,6 @@ CITATIONS: dict[str, str] = {
         "diamonds has vcd 4d - 1 and a free abelian subgroup of that rank, "
         "so its F_k-dimension is at least 4d + k - 1 for 0 <= k < 4d - 1"
     ),
-    "embedded-torus": (
-        "the cube complex of the graph contains an embedded torus of "
-        "dimension equal to the clique number, giving a free abelian "
-        "subgroup of that rank"
-    ),
     "gog-exact": (
         "for an acylindrical finite graph of infinite finitely generated "
         "virtually abelian groups with every edge rank strictly below its "

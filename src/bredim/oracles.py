@@ -1,17 +1,20 @@
 """Brute-force reference computations used to cross-check the fast paths.
 
 Everything in this module is deliberately naive and shares no code with the
-normal-form machinery it checks: rational linear algebra runs on
-``fractions.Fraction`` via plain Gaussian elimination, indices are counted
-by walking coset representatives, cliques are enumerated over bitmask
-subsets, and invariant factors come from gcds of minors.  Desk scale only.
+normal-form machinery it checks.  Rational linear algebra (determinants,
+inverses, solving, span membership) runs on one fraction-free integer
+Gauss–Jordan elimination, and ``fractions.Fraction`` appears only in the
+values returned.  Indices are counted by walking coset representatives,
+cliques are enumerated over bitmask subsets, and invariant factors come from
+gcds of minors.  Desk scale only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from math import gcd, lcm, prod
+from typing import Callable, Iterable, Sequence
 
 from .lattice import Sublattice
 from .matrix import IntMatrix
@@ -33,59 +36,112 @@ __all__ = [
 ]
 
 
-Rows = list[list[Fraction]]
+Rows = list[list[int]]
 
 
-def _to_fraction_rows(m: IntMatrix) -> Rows:
-    return [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
+def _eliminate(rows: Sequence[Sequence[int]], width: int) -> tuple[Rows, list[int], Fraction]:
+    """Fraction-free Gauss–Jordan elimination on the first ``width`` columns.
+
+    A pivot column is cleared in every other row by cross-multiplying with
+    the pivot row, and each changed row is divided by the gcd of its entries.
+    Returns the rows, pivot rows first, each pivot the only nonzero entry of
+    its column; the pivot columns; and the scale ``s`` with ``det(input) ==
+    s * det(output)`` for square input.  Columns past ``width`` are carried
+    along, never pivoted on.
+    """
+    a = [list(row) for row in rows]
+    pivots: list[int] = []
+    sign, divided, multiplied = 1, 1, 1
+    for col in range(width):
+        r = len(pivots)
+        # the smallest pivot keeps the cross-multiplied entries small
+        pivot = min((i for i in range(r, len(a)) if a[i][col]), key=lambda i: abs(a[i][col]), default=None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        head = a[r]
+        p = head[col]
+        for i, row in enumerate(a):
+            f = row[col]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, head)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                    divided *= g
+                multiplied *= p
+                a[i] = row
+        pivots.append(col)
+    return a, pivots, Fraction(sign * divided, multiplied)
+
+
+def _residual(ech: Rows, pivots: list[int], vector: Sequence[int]) -> tuple[int, list[int]]:
+    """``(s, s * vector - c @ ech)``, with integers ``s != 0`` and ``c`` chosen
+    to clear every pivot column of eliminated rows ``ech``."""
+    residual, s = list(vector), 1
+    for row, col in zip(ech, pivots):
+        f = residual[col]
+        if f:
+            p = row[col]
+            residual = [p * x - f * y for x, y in zip(residual, row)]
+            s *= p
+    return s, residual
+
+
+def _with_identity(rows: Sequence[Sequence[int]]) -> Rows:
+    """``[rows | I]``: the right block records row operations."""
+    return [[*row, *(int(i == j) for j in range(len(rows)))] for i, row in enumerate(rows)]
 
 
 def fraction_det(m: IntMatrix) -> Fraction:
-    """Determinant by rational Gaussian elimination with partial pivoting."""
+    """Determinant by integer Gauss–Jordan elimination."""
+    if m.rows != m.cols:
+        raise ValueError("square matrix required")
+    rows, pivots, scale = _eliminate(m.to_rows(), m.cols)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return scale * prod(row[i] for i, row in enumerate(rows))
+
+
+def _scaled_inverse(m: IntMatrix) -> tuple[int, Rows]:
+    """``(d, N)`` with ``N / d`` the inverse of a nonsingular square matrix."""
     if m.rows != m.cols:
         raise ValueError("square matrix required")
     n = m.rows
-    a = _to_fraction_rows(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(col + 1, n):
-            factor = a[i][col]
-            if factor:
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-    return det
+    rows, pivots, _ = _eliminate(_with_identity(m.to_rows()), n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    d = lcm(*(row[i] for i, row in enumerate(rows)))
+    return d, [[x * (d // row[i]) for x in row[n:]] for i, row in enumerate(rows)]
 
 
-def fraction_inverse(m: IntMatrix) -> Rows:
+def fraction_inverse(m: IntMatrix) -> list[list[Fraction]]:
     """Inverse of a nonsingular square matrix, as Fraction rows."""
-    if m.rows != m.cols:
-        raise ValueError("square matrix required")
-    n = m.rows
-    a = _to_fraction_rows(m)
-    inv: Rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = 1 / a[col][col]
-        a[col] = [x * scale for x in a[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - factor * y for x, y in zip(inv[i], inv[col])]
-    return inv
+    d, scaled = _scaled_inverse(m)
+    return [[Fraction(x, d) for x in row] for row in scaled]
+
+
+def _left_solver(
+    basis_rows: Sequence[Sequence[int]], width: int
+) -> Callable[[Sequence[int]], tuple[int, list[int]] | None]:
+    """Prepare ``x @ basis == vector`` for many vectors of ``width`` entries.
+
+    The solver returns ``(s, y)`` with ``x == y / s``, or None when the vector
+    is outside the rational span.  The basis rows must be linearly
+    independent.
+    """
+    r = len(basis_rows)
+    ech, pivots, _ = _eliminate(_with_identity(basis_rows), width)
+
+    def solve(vector: Sequence[int]) -> tuple[int, list[int]] | None:
+        s, residual = _residual(ech, pivots, [*vector, *[0] * r])
+        if any(residual[:width]):
+            return None
+        return s, [-y for y in residual[width:]]
+
+    return solve
 
 
 def fraction_solve_left(basis_rows: Sequence[Sequence[int]], vector: Sequence[int]) -> list[Fraction] | None:
@@ -93,45 +149,11 @@ def fraction_solve_left(basis_rows: Sequence[Sequence[int]], vector: Sequence[in
 
     The basis rows must be linearly independent.
     """
-    rows = [[Fraction(x) for x in r] for r in basis_rows]
-    v = [Fraction(x) for x in vector]
-    coeffs: list[list[Fraction]] = []  # elimination record: row i of echelon in terms of inputs
-    ech: Rows = []
-    ident = [[Fraction(int(i == j)) for j in range(len(rows))] for i in range(len(rows))]
-    for i, row in enumerate(rows):
-        ech.append(list(row))
-        coeffs.append(list(ident[i]))
-    # forward eliminate to row echelon, tracking the transform
-    pivots: list[int] = []
-    r = 0
-    width = len(v)
-    for col in range(width):
-        pivot = next((i for i in range(r, len(ech)) if ech[i][col] != 0), None)
-        if pivot is None:
-            continue
-        ech[r], ech[pivot] = ech[pivot], ech[r]
-        coeffs[r], coeffs[pivot] = coeffs[pivot], coeffs[r]
-        scale = 1 / ech[r][col]
-        ech[r] = [x * scale for x in ech[r]]
-        coeffs[r] = [x * scale for x in coeffs[r]]
-        for i in range(len(ech)):
-            if i != r and ech[i][col]:
-                factor = ech[i][col]
-                ech[i] = [x - factor * y for x, y in zip(ech[i], ech[r])]
-                coeffs[i] = [x - factor * y for x, y in zip(coeffs[i], coeffs[r])]
-        pivots.append(col)
-        r += 1
-    # express v in the echelon rows
-    x = [Fraction(0)] * len(rows)
-    residual = list(v)
-    for i, col in enumerate(pivots):
-        factor = residual[col]
-        if factor:
-            residual = [a - factor * b for a, b in zip(residual, ech[i])]
-            x = [a + factor * b for a, b in zip(x, coeffs[i])]
-    if any(residual):
+    found = _left_solver(basis_rows, len(vector))(vector)
+    if found is None:
         return None
-    return x
+    s, y = found
+    return [Fraction(c, s) for c in y]
 
 
 class rational_row_space:
@@ -139,53 +161,30 @@ class rational_row_space:
 
     def __init__(self, basis_rows: Sequence[Sequence[int]]):
         self.width = len(basis_rows[0]) if basis_rows else 0
-        ech: Rows = []
-        for row in basis_rows:
-            ech.append([Fraction(x) for x in row])
-        self.pivots: list[int] = []
-        r = 0
-        for col in range(self.width):
-            pivot = next((i for i in range(r, len(ech)) if ech[i][col] != 0), None)
-            if pivot is None:
-                continue
-            ech[r], ech[pivot] = ech[pivot], ech[r]
-            scale = 1 / ech[r][col]
-            ech[r] = [x * scale for x in ech[r]]
-            for i in range(len(ech)):
-                if i != r and ech[i][col]:
-                    factor = ech[i][col]
-                    ech[i] = [a - factor * b for a, b in zip(ech[i], ech[r])]
-            self.pivots.append(col)
-            r += 1
-        self.ech = ech[:r]
+        ech, self.pivots, _ = _eliminate(basis_rows, self.width)
+        self.ech = ech[: len(self.pivots)]
 
     def contains(self, vector: Sequence[int]) -> bool:
-        residual = [Fraction(x) for x in vector]
-        for row, col in zip(self.ech, self.pivots):
-            factor = residual[col]
-            if factor:
-                residual = [a - factor * b for a, b in zip(residual, row)]
-        return not any(residual)
+        return not any(_residual(self.ech, self.pivots, vector)[1])
 
 
 def in_rational_span(basis_rows: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
-    if not basis_rows:
-        return not any(vector)
     return rational_row_space(basis_rows).contains(vector)
 
 
 def coordinates_matrix(sub: Sublattice, sup: Sublattice) -> IntMatrix | None:
-    """Integer coordinates of ``sub``'s basis in ``sup``'s, via Fractions.
+    """Integer coordinates of ``sub``'s basis in ``sup``'s.
 
     None when some basis vector falls outside ``sup`` over the integers.
     """
+    solve = _left_solver(sup.basis.to_rows(), sup.ambient_dim)
     rows = []
-    sup_rows = sup.basis.to_rows()
     for i in range(sub.rank):
-        x = fraction_solve_left(sup_rows, sub.basis.row(i))
-        if x is None or any(c.denominator != 1 for c in x):
+        found = solve(sub.basis.row(i))
+        if found is None or any(c % found[0] for c in found[1]):
             return None
-        rows.append([int(c) for c in x])
+        s, y = found
+        rows.append([c // s for c in y])
     return IntMatrix.from_rows(rows, cols=sup.rank)
 
 
@@ -195,32 +194,28 @@ def coset_representatives(coeffs: IntMatrix) -> list[tuple[int, ...]]:
 
     Walks the quotient from 0 along unit steps; a coset is named by the
     fractional parts of its representative in the basis of the subgroup,
-    which is a complete invariant.
+    which is a complete invariant.  With the inverse written as ``N / d``,
+    those are the residues of ``vec @ N`` modulo ``d``, updated one step at a
+    time.
     """
     r = coeffs.rows
     if r == 0:
         return [()]
-    inv = fraction_inverse(coeffs)
-
-    def signature(vec: tuple[int, ...]) -> tuple[Fraction, ...]:
-        return tuple(
-            sum(v * inv[i][j] for i, v in enumerate(vec)) % 1 for j in range(r)
-        )
-
-    start = (0,) * r
-    seen = {signature(start): start}
-    frontier = [start]
+    d, scaled = _scaled_inverse(coeffs)
+    origin = (0,) * r
+    seen = {origin: origin}  # signature -> representative
+    frontier = [(origin, origin)]  # (representative, signature)
     while frontier:
-        current = frontier.pop()
+        current, signature = frontier.pop()
         for axis in range(r):
             for step in (1, -1):
-                nxt = list(current)
-                nxt[axis] += step
-                candidate = tuple(nxt)
-                sig = signature(candidate)
+                sig = tuple((s + step * x) % d for s, x in zip(signature, scaled[axis]))
                 if sig not in seen:
+                    nxt = list(current)
+                    nxt[axis] += step
+                    candidate = tuple(nxt)
                     seen[sig] = candidate
-                    frontier.append(candidate)
+                    frontier.append((candidate, sig))
     return sorted(seen.values())
 
 
@@ -280,10 +275,8 @@ def invariant_factors_by_minors(m: IntMatrix) -> list[int]:
     """Invariant factors from gcds of k x k minors (for small matrices).
 
     ``d_k = g_k / g_{k-1}`` where ``g_k`` is the gcd of all k x k minors
-    (``g_0 = 1``); the determinants are computed rationally.
+    (``g_0 = 1``); the determinants come from :func:`fraction_det`.
     """
-    from math import gcd
-
     limit = min(m.rows, m.cols)
     factors = []
     g_prev = 1

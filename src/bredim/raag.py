@@ -12,8 +12,6 @@ Dimension formulas implemented here:
 
 * the cohomological dimension of the group is the clique number of the
   graph (the top cube is essential);
-* the complex contains an embedded torus of dimension equal to the clique
-  number, so the group contains a free abelian subgroup of that rank;
 * for 0 <= k < cd, the dimension for the rank-at-most-k family is cd + k,
   and the geometric and Bredon-cohomological versions agree.
 

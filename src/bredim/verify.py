@@ -179,12 +179,10 @@ def _check_saturation_box(instances: list[lattice.Sublattice]) -> CheckResult:
     out = CheckResult("lattice.saturation-box-oracle")
     for case, lat in enumerate(instances):
         sat = lattice.saturation(lat)
-        basis_rows = lat.basis.to_rows()
-        span = oracles.rational_row_space(basis_rows) if basis_rows else None
+        span = oracles.rational_row_space(lat.basis.to_rows())
         ok = True
         for v in oracles.box_vectors(lat.ambient_dim, 4):
-            in_span = span.contains(v) if span else not any(v)
-            if in_span != sat.contains_vector(v):
+            if span.contains(v) != sat.contains_vector(v):
                 ok = False
                 break
         if lat.rank:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -98,16 +99,6 @@ def test_derive_tree_size_is_bounded(capsys):
         "error: --tree renders at most 1048576 derivation nodes; "
         "this derivation has 1835002\n"
     )
-
-
-def test_derive_k_is_bounded(capsys):
-    limit = cli.MAX_DERIVE_K
-    code, out, err = run(capsys, "dims", "derive-zn", "--n", str(limit + 2), "--k", str(limit))
-    assert (code, err) == (0, "")
-    assert f"upper = {2 * limit + 2}" in out.splitlines()
-    code, out, err = run(capsys, "dims", "derive-zn", "--n", str(limit + 2), "--k", str(limit + 1))
-    assert (code, out) == (2, "")
-    assert err == f"error: derive-zn replays at most k = {limit}; got k = {limit + 1}\n"
 
 
 def test_raag_cd(capsys, k3_file):
@@ -349,14 +340,28 @@ sys.exit(cli.main(sys.argv[2:]))
 SRC = str(Path(raag.__file__).resolve().parents[1])
 
 
-def _run_capped(tmp_path, graph, *argv):
-    path = tmp_path / "graph.txt"
-    path.write_text(raag.write_graph(graph))
+def _run_capped(*argv):
     done = subprocess.run(
-        [sys.executable, "-c", CAPPED, SRC, "raag", argv[0], str(path), *argv[1:]],
+        [sys.executable, "-c", CAPPED, SRC, *argv],
         capture_output=True, text=True, timeout=60,
     )
     return done.returncode, done.stdout, done.stderr
+
+
+def _run_raag_capped(tmp_path, graph, command, *flags):
+    path = tmp_path / "graph.txt"
+    path.write_text(raag.write_graph(graph))
+    return _run_capped("raag", command, str(path), *flags)
+
+
+def test_derive_k_is_bounded():
+    limit = cli.MAX_DERIVE_K
+    code, out, err = _run_capped("dims", "derive-zn", "--n", str(limit + 2), "--k", str(limit))
+    assert (code, err) == (0, "")
+    assert f"upper = {2 * limit + 2}" in out.splitlines()
+    code, out, err = _run_capped("dims", "derive-zn", "--n", str(limit + 2), "--k", str(limit + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: derive-zn replays at most k = {limit}; got k = {limit + 1}\n"
 
 
 def _seeded_graph(seed, vertices, density):
@@ -374,7 +379,7 @@ def test_raag_cliques_counts_without_listing(tmp_path, graph):
     # K60 has 2^60 cliques and the dense graph about 2 * 10^7; counting
     # follows the pivot search tree, not the cliques.
     start = time.perf_counter()
-    code, out, err = _run_capped(tmp_path, graph, "cliques")
+    code, out, err = _run_raag_capped(tmp_path, graph, "cliques")
     elapsed = time.perf_counter() - start
     assert (code, err) == (0, "")
     values = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
@@ -399,10 +404,10 @@ def test_cliques_list_limit(tmp_path):
     n = cli.MAX_LISTED_CLIQUES.bit_length() - 1
     at_limit = raag.complete_graph(n)
     assert sum(raag.clique_counts(at_limit)) == cli.MAX_LISTED_CLIQUES
-    code, out, err = _run_capped(tmp_path, at_limit, "cliques", "--list")
+    code, out, err = _run_raag_capped(tmp_path, at_limit, "cliques", "--list")
     assert (code, err) == (0, "")
     assert out.count("\nclique[") == cli.MAX_LISTED_CLIQUES
-    code, out, err = _run_capped(tmp_path, _with_isolated(at_limit, 1), "cliques", "--list")
+    code, out, err = _run_raag_capped(tmp_path, _with_isolated(at_limit, 1), "cliques", "--list")
     assert (code, out) == (2, "")
     assert err == (
         f"error: --list prints at most {cli.MAX_LISTED_CLIQUES} cliques; "
@@ -426,12 +431,12 @@ def test_salvetti_entry_limit(tmp_path):
     under = _with_isolated(base, (limit - _salvetti_entries(base)) // step)
     over = _with_isolated(under, 1)
     assert _salvetti_entries(under) <= limit < _salvetti_entries(over)
-    code, out, err = _run_capped(tmp_path, under, "salvetti", "--cohomology")
+    code, out, err = _run_raag_capped(tmp_path, under, "salvetti", "--cohomology")
     assert (code, err) == (0, "")
     assert out.startswith("# command: raag salvetti\n")
     assert "H^0 = betti=1 torsion=-" in out.splitlines()
     for graph in (over, raag.complete_graph(16)):
-        code, out, err = _run_capped(tmp_path, graph, "salvetti", "--cohomology")
+        code, out, err = _run_raag_capped(tmp_path, graph, "salvetti", "--cohomology")
         assert (code, out) == (2, "")
         assert err == (
             f"error: the Salvetti complex is built with at most {limit} boundary "
@@ -547,6 +552,19 @@ def test_run_returns_status_and_report(capsys):
     assert code == 3
     assert report is None
     capsys.readouterr()
+
+
+# sha256 of ``bredim verify all`` stdout at the default seed.  A change that
+# moves it changes a verify answer or its rendering.
+VERIFY_ALL_SHA256 = "af220ad3cb8b1e480c2ec50b311963b12ab3afb9a8ac57427983ca4e18ae187d"
+
+
+def test_verify_all_stdout_is_pinned(monkeypatch):
+    monkeypatch.delenv("BREDIM_SEED", raising=False)
+    code, report = cli.run(["verify", "all"])
+    assert code == 0
+    out = report.render(report.format)
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -352,7 +352,8 @@ def test_saturation_closure_properties():
 # intersection and saturation against rational oracles at benchmark scale
 # ---------------------------------------------------------------------------
 # Inputs are drawn in plain Python with a known answer, and every check goes
-# through Fraction elimination in ``oracles``, never through a Hermite form.
+# through the integer Gauss–Jordan elimination in ``oracles``, never through
+# a Hermite form.
 
 
 def _product(a, b):
