@@ -41,35 +41,19 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import importlib.util
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import BredimError, InputError, OutOfRangeError
 
+# Each handler imports the layers it runs, so a command loads only those.
+if TYPE_CHECKING:
+    from . import dims, gog, matrix
+
 __all__ = ["main", "run"]
-
-
-def _layer(name: str):
-    """The submodule ``bredim.<name>``, bound now but run on first attribute
-    access, so that a command runs only the layers it uses."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
-
-
-dims, gog, homology, lattice, matrix, raag, verify = map(
-    _layer, ("dims", "gog", "homology", "lattice", "matrix", "raag", "verify")
-)
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -129,7 +113,6 @@ class Report:
     citations: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     tree: dims.Derivation | None = None
-    show_tree: bool = False
     # commands whose stdout is itself a loadable file keep meta as comments
     comment_meta: bool = False
     format: str = "human"
@@ -145,11 +128,13 @@ class Report:
             self.add(f"{name}_upper", "unknown" if bound.upper is None else bound.upper)
 
     def add_matrix_block(self, label: str, block: matrix.IntMatrix) -> None:
+        from . import lattice
+
         self.blocks.append((label, lattice.write_matrix(block).splitlines()))
 
-    def render(self, fmt: str) -> str:
+    def render(self) -> str:
         lines: list[str] = []
-        if fmt == "structured":
+        if self.format == "structured":
             lines.append(f"command={self.command}")
             lines.append(f"input={self.input_digest}")
             for key, value in self.results:
@@ -161,7 +146,7 @@ class Report:
                 lines.append(f"note.{i}={note}")
             for i, cite in enumerate(self.citations):
                 lines.append(f"citation.{i}={cite}")
-            if self.tree is not None and self.show_tree:
+            if self.tree is not None:
                 for record in self.tree.render_records():
                     lines.append(f"tree.{record}")
             return "\n".join(lines) + "\n"
@@ -178,7 +163,7 @@ class Report:
             lines.append(f"{meta_prefix}note: {note}")
         for cite in self.citations:
             lines.append(f"{meta_prefix}citation: {cite}")
-        if self.tree is not None and self.show_tree:
+        if self.tree is not None:
             lines.append("derivation:")
             lines.append(self.tree.render_text(indent=1))
             lines.append("derivation-records:")
@@ -192,6 +177,8 @@ class Report:
 
 
 def _cmd_lattice(args: argparse.Namespace) -> tuple[int, Report]:
+    from . import lattice, matrix
+
     op = args.lattice_op
     report = Report(command=f"lattice {op}")
     if op in ("hnf", "snf"):
@@ -243,6 +230,8 @@ def _cmd_lattice(args: argparse.Namespace) -> tuple[int, Report]:
 
 
 def _cmd_raag(args: argparse.Namespace) -> tuple[int, Report]:
+    from . import raag
+
     op = args.raag_op
     report = Report(command=f"raag {op}")
     text, digest = _read_input(args.file)
@@ -278,6 +267,8 @@ def _cmd_raag(args: argparse.Namespace) -> tuple[int, Report]:
         report.citations.append(raag.RAAG_CD_CITATION)
         return EXIT_OK, report
     if op == "salvetti":
+        from . import homology
+
         complex_ = raag.salvetti_complex(graph, max_entries=MAX_SALVETTI_ENTRIES)
         report.blocks.append(
             ("", homology.write_chain_complex(complex_).splitlines())
@@ -292,6 +283,8 @@ def _cmd_raag(args: argparse.Namespace) -> tuple[int, Report]:
 
 
 def _cmd_dims(args: argparse.Namespace) -> tuple[int, Report]:
+    from . import dims
+
     op = args.dims_op
     report = Report(command=f"dims {op}")
     if op == "vab":
@@ -350,8 +343,8 @@ def _cmd_dims(args: argparse.Namespace) -> tuple[int, Report]:
         report.add("nodes", nodes)
         report.add("depth", tree.depth())
         report.citations.append(tree.citation)
-        report.tree = tree
-        report.show_tree = args.tree
+        if args.tree:
+            report.tree = tree
         return EXIT_OK, report
     raise _UsageError(f"unknown dims operation {op!r}")
 
@@ -368,6 +361,8 @@ def _census_lines(census: gog.CellCensus) -> list[str]:
 
 
 def _cmd_gog(args: argparse.Namespace) -> tuple[int, Report]:
+    from . import gog
+
     op = args.gog_op
     report = Report(command=f"gog {op}")
     text, digest = _read_input(args.file)
@@ -390,6 +385,8 @@ def _cmd_gog(args: argparse.Namespace) -> tuple[int, Report]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, Report]:
+    from . import verify
+
     seed = args.seed
     if seed is None:
         env = os.environ.get("BREDIM_SEED")
@@ -541,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     code, report = run(argv)
     if report is not None:
-        sys.stdout.write(report.render(report.format))
+        sys.stdout.write(report.render())
     return code
 
 

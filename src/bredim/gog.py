@@ -213,7 +213,6 @@ class GogResult:
 
     bound: DimBound
     exact: bool
-    max_rank: int
     census: CellCensus | None
     notes: tuple[str, ...]
     citations: tuple[str, ...]
@@ -254,7 +253,6 @@ def bass_serre_bounds(gog: GraphOfGroups, k: int) -> GogResult:
     return GogResult(
         bound=DimBound(lower, census.max_term()),
         exact=False,
-        max_rank=max_vertex_rank(gog),
         census=census,
         notes=tuple(notes),
         citations=(CITATIONS["gog-bounds"], CITATIONS["virtually-abelian-exact"]),
@@ -298,7 +296,6 @@ def gog_gd(gog: GraphOfGroups, k: int) -> GogResult:
         return GogResult(
             bound=DimBound.exact(m + k),
             exact=True,
-            max_rank=m,
             census=None,
             notes=(),
             citations=(CITATIONS["gog-exact"],),
@@ -316,7 +313,6 @@ def gog_gd(gog: GraphOfGroups, k: int) -> GogResult:
         return GogResult(
             bound=DimBound.at_least(lower),
             exact=False,
-            max_rank=m,
             census=None,
             notes=tuple(problems)
             + ("no upper bound is asserted for k=0; reporting the subgroup lower bound only",),
@@ -326,7 +322,6 @@ def gog_gd(gog: GraphOfGroups, k: int) -> GogResult:
     return GogResult(
         bound=fallback.bound,
         exact=False,
-        max_rank=m,
         census=fallback.census,
         notes=tuple(problems) + fallback.notes,
         citations=fallback.citations,

@@ -99,6 +99,9 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
+        # A zero matrix's row-major entries are the same in either shape.
+        if not any(self.entries):
+            return IntMatrix(self.cols, self.rows, self.entries)
         # Column j of the row-major entries is the strided slice entries[j::cols].
         return IntMatrix(
             self.cols,

@@ -290,10 +290,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _pivot(pool: int, p: int, masks: list[int]) -> int:
-    """The vertex of ``pool`` with the most neighbours in ``p``; the lowest
-    such vertex on a tie."""
+def _pivot(p: int, masks: list[int]) -> int:
+    """The vertex of ``p`` with the most neighbours in ``p``; the lowest such
+    vertex on a tie."""
     best, most = -1, -1
+    pool = p
     while pool:
         low = pool & -pool
         u = low.bit_length() - 1
@@ -334,27 +335,30 @@ def cliques(graph: SimpleGraph) -> CliqueTable:
 def clique_number(graph: SimpleGraph) -> int:
     """Size of the largest clique; 0 for the empty graph.
 
-    Iterative Bron–Kerbosch search with Tomita's pivot over integer bitsets:
-    each node holds the clique size and the candidate (P) and excluded (X)
-    vertex sets, branches only on candidates outside the pivot's
-    neighbourhood, and is dropped when even taking every candidate could
-    not beat the best size found.
+    The search tree of :func:`clique_counts`, bounded by size: a node holds
+    the size of the clique taken (held vertices and pivots alike) and the
+    candidates adjacent to all of it, and is dropped when even taking every
+    candidate could not beat the best size found.  Since the size counts
+    every pivot, a leaf's size is that of the largest clique it stands for.
     """
     masks = _neighbour_masks(graph)
     best = 0
-    stack = [(0, (1 << graph.vertex_count) - 1, 0)]
+    stack = [(0, (1 << graph.vertex_count) - 1)]
     while stack:
-        size, p, x = stack.pop()
+        size, p = stack.pop()
         if size + p.bit_count() <= best:
             continue
         if not p:
             best = size
             continue
-        pivot = _pivot(p | x, p, masks)
-        for v in _bits(p & ~masks[pivot]):
-            stack.append((size + 1, p & masks[v], x & masks[v]))
-            p ^= 1 << v
-            x |= 1 << v
+        pivot = _pivot(p, masks)
+        rest = p ^ (1 << pivot)
+        for v in _bits(rest & ~masks[pivot]):
+            stack.append((size + 1, rest & masks[v]))
+            rest ^= 1 << v
+        # Pushed last, so searched first: the pivot's neighbourhood is where
+        # a large clique is likeliest, and finding one early tightens the cut.
+        stack.append((size + 1, p & masks[pivot]))
     return best
 
 
@@ -381,7 +385,7 @@ def clique_counts(graph: SimpleGraph) -> tuple[int, ...]:
             for j in range(pivots + 1):
                 counts[held + j] += comb(pivots, j)
             continue
-        pivot = _pivot(p, p, masks)
+        pivot = _pivot(p, masks)
         stack.append((held, pivots + 1, p & masks[pivot]))
         p ^= 1 << pivot
         for v in _bits(p & ~masks[pivot]):

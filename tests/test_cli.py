@@ -301,7 +301,7 @@ def test_exit_internal_error_has_no_traceback(capsys, monkeypatch):
     def broken(n, k):
         raise KeyError("injected")
 
-    monkeypatch.setattr(cli.dims, "virtually_abelian_gd", broken)
+    monkeypatch.setattr(dims, "virtually_abelian_gd", broken)
     code, out, err = run(capsys, "dims", "vab", "--n", "3", "--k", "1")
     assert code == 70
     assert out == ""
@@ -312,7 +312,7 @@ def test_exit_internal_error_postcondition(capsys, monkeypatch, k3_file):
     def broken(graph):
         raise AssertionError("postcondition\nspans lines")
 
-    monkeypatch.setattr(cli.raag, "cd_raag", broken)
+    monkeypatch.setattr(raag, "cd_raag", broken)
     code, _, err = run(capsys, "raag", "cd", k3_file)
     assert code == 70
     assert err == "internal error: AssertionError: postcondition spans lines\n"
@@ -531,7 +531,7 @@ def test_verify_reports_failures_nonzero(capsys, monkeypatch):
         result.record(False, "injected defect")
         return [result]
 
-    monkeypatch.setattr(cli.verify, "run_suite", broken)
+    monkeypatch.setattr(verify, "run_suite", broken)
     code, out, _ = run(capsys, "verify", "dims")
     assert code == 1
     assert "FAIL dims.injected" in out
@@ -563,7 +563,7 @@ def test_verify_all_stdout_is_pinned(monkeypatch):
     monkeypatch.delenv("BREDIM_SEED", raising=False)
     code, report = cli.run(["verify", "all"])
     assert code == 0
-    out = report.render(report.format)
+    out = report.render()
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 

@@ -453,7 +453,7 @@ def test_cached_parser_keeps_no_state_between_commands(tmp_path, monkeypatch):
         for line in pair:
             code, report = cli.run(_argv(tmp_path, line))
             assert code == 0, line
-            out = report.render(report.format)
+            out = report.render()
             assert hashlib.sha256(out.encode()).hexdigest() == _golden(line), line
 
 

@@ -227,6 +227,48 @@ def test_clique_counts_match_listing_at_benchmark_shapes(vertices, density):
     assert clique_counts(graph) == cliques(graph).counts
 
 
+def _clique_counts_by_sets(vertex_count, edges):
+    """Clique counts from extending each clique, over Python sets, by its
+    common neighbours numbered above its last vertex.  Shares nothing with
+    the bitset and pivot searches it checks."""
+    adjacent = {v: set() for v in range(vertex_count)}
+    for u, v in edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    counts = [0] * (vertex_count + 1)
+
+    def extend(size, candidates):
+        counts[size] += 1
+        for v in candidates:
+            extend(size + 1, {w for w in candidates & adjacent[v] if w > v})
+
+    extend(0, set(range(vertex_count)))
+    return tuple(c for c in counts if c)
+
+
+def _sparse_edges(rng, vertex_count, edge_count):
+    edges = set()
+    while len(edges) < edge_count:
+        edges.add(tuple(sorted(rng.sample(range(vertex_count), 2))))
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("vertices,density", [*BENCHMARK_SHAPES, (3000, None)])
+def test_clique_search_matches_set_oracle_at_harness_scale(vertices, density):
+    # The benchmark's shapes, drawn as its raag-complex workload draws them,
+    # and one sparse graph: 3,000 vertices and 9,000 edges.
+    rng = random.Random(f"set-oracle:{vertices}:{density}")
+    if density is None:
+        edges = _sparse_edges(rng, vertices, 9000)
+    else:
+        pairs = list(combinations(range(vertices), 2))
+        edges = rng.sample(pairs, round(density * len(pairs)))
+    graph = SimpleGraph.from_edges(vertices, edges)
+    expected = _clique_counts_by_sets(vertices, edges)
+    assert clique_counts(graph) == expected
+    assert clique_number(graph) == len(expected) - 1
+
+
 def test_clique_counts_of_complete_graphs():
     for n in range(61):
         assert clique_counts(complete_graph(n)) == tuple(binomial(n, k) for k in range(n + 1))

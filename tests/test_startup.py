@@ -58,6 +58,13 @@ def _bodies_run(statements, cwd):
 def test_import_runs_no_layer(tmp_path):
     assert _bodies_run("import bredim", tmp_path) == ["__init__"]
     assert _bodies_run("import bredim.cli", tmp_path) == ["__init__", "cli", "errors"]
+    # Nor does it bind a layer to run later: nothing else is in sys.modules.
+    loaded = (
+        "import sys, bredim.cli\n"
+        "names = sorted(n for n in sys.modules if n.partition('.')[0] == 'bredim')\n"
+        "assert names == ['bredim', 'bredim.cli', 'bredim.errors'], names\n"
+    )
+    assert _bodies_run(loaded, tmp_path) == ["__init__", "cli", "errors"]
 
 
 @pytest.mark.parametrize(
@@ -124,15 +131,15 @@ def test_unknown_package_name_raises_attribute_error():
 
 
 def test_submodules_resolve_after_importing_the_cli(tmp_path):
-    # In a fresh interpreter the command line binds its layers unrun; the
-    # package must still hand out those same module objects, ready to use.
+    # In a fresh interpreter, after the command line, the package hands out
+    # each submodule as the one object in sys.modules, ready to use.
     statements = (
         "import sys, bredim.cli, bredim\n"
         f"for name in {SUBMODULES!r}:\n"
         "    module = getattr(bredim, name)\n"
         "    assert module is sys.modules['bredim.' + name], name\n"
         "    assert module.__name__ == 'bredim.' + name, name\n"
-        "assert bredim.lattice is bredim.cli.lattice and bredim.Sublattice is bredim.lattice.Sublattice\n"
+        "assert bredim.Sublattice is bredim.lattice.Sublattice\n"
         "assert bredim.lattice.index(bredim.sublattice_from_generators(1, [[2]]),"
         " bredim.sublattice_from_generators(1, [[1]])).value == 2\n"
     )
