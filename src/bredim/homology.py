@@ -6,11 +6,15 @@ A chain complex here is a finite sequence of free abelian groups
 condition ``bd_k @ bd_{k+1} == 0`` is checked at construction time, so every
 :class:`ChainComplex` value satisfies it.
 
-Homology is computed from Smith normal forms:
+Homology is computed as
 
     H_k = ker(bd_k) / im(bd_{k+1}),
     betti = nullity(bd_k) - rank(bd_{k+1}),
     torsion = invariant factors of bd_{k+1} that exceed 1.
+
+The rank of the outgoing map comes from its Hermite basis, which builds no
+transform; only the incoming map runs the Smith normal form, whose diagonal
+gives both its rank and the torsion.
 
 Cohomology is the same computation on the dual complex, i.e. applied to
 the transposed boundaries, never a shuffle of the homology answer; the
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ChainComplexError, InputError, ParseError
-from .matrix import IntMatrix, smith_normal_form
+from .matrix import IntMatrix, rank, smith_normal_form
 
 __all__ = [
     "CohomologyGroup",
@@ -152,21 +156,15 @@ def _check_degree(complex_: ChainComplex, k: int) -> None:
         )
 
 
-def _invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    # A zero map has no invariant factors; skipping SNF also skips building
-    # its two identity transforms.
-    if m.is_zero():
-        return ()
-    d, _, _ = smith_normal_form(m)
-    return tuple(x for x in d.diagonal() if x != 0)
-
-
 def _kernel_mod_image(
     k: int, cells: int, out_map: IntMatrix, in_map: IntMatrix
 ) -> CohomologyGroup:
     """``ker(out_map) / im(in_map)`` in degree k, for maps out of and into Z^cells."""
-    rank_out = len(_invariant_factors(out_map))
-    in_factors = _invariant_factors(in_map)
+    # Every Salvetti boundary is zero, and is_zero() costs a fraction of a
+    # rank or a Smith form (which first builds two identity transforms).
+    rank_out = 0 if out_map.is_zero() else rank(out_map)
+    diagonal = () if in_map.is_zero() else smith_normal_form(in_map)[0].diagonal()
+    in_factors = [x for x in diagonal if x != 0]
     betti = (cells - rank_out) - len(in_factors)
     torsion = tuple(x for x in in_factors if x > 1)
     return CohomologyGroup(degree=k, betti=betti, torsion=torsion)

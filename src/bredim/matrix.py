@@ -22,6 +22,7 @@ is not unique when ``m`` has dependent rows.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Sequence
@@ -167,12 +168,26 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _combine_rows(mat: list[list[int]], i: int, j: int, x: int, y: int, p: int, q: int) -> None:
-    # row_i <- x*row_i + y*row_j ; row_j <- -q*row_i + p*row_j.
-    # The 2x2 block [[x, y], [-q, p]] must have determinant 1.
-    ri, rj = mat[i], mat[j]
-    mat[i] = [x * a + y * b for a, b in zip(ri, rj)]
-    mat[j] = [-q * a + p * b for a, b in zip(ri, rj)]
+def _clear_below(a: list[list[int]], u: list[list[int]], pr: int, col: int) -> None:
+    # Zero a[i][col] for every i > pr, repeating each row operation on u.
+    # A pivot that divides the entry clears it by a plain shear; a full
+    # Bezout transform there would leak the other row back into the pivot
+    # row, and the Smith form's alternating clearing can then oscillate.
+    for i in range(pr + 1, len(a)):
+        if a[i][col] == 0:
+            continue
+        if a[i][col] % a[pr][col] == 0:
+            d = a[i][col] // a[pr][col]
+            a[i] = [v - d * w for v, w in zip(a[i], a[pr])]
+            u[i] = [v - d * w for v, w in zip(u[i], u[pr])]
+            continue
+        g, x, y = ext_gcd(a[pr][col], a[i][col])
+        p, q = a[pr][col] // g, a[i][col] // g
+        # Rows pr and i go through [[x, y], [-q, p]], of determinant 1.
+        for mat in (a, u):
+            top, bottom = mat[pr], mat[i]
+            mat[pr] = [x * v + y * w for v, w in zip(top, bottom)]
+            mat[i] = [-q * v + p * w for v, w in zip(top, bottom)]
 
 
 def _combine_cols(mat: list[list[int]], i: int, j: int, x: int, y: int, p: int, q: int) -> None:
@@ -204,18 +219,7 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if piv != pr:
             a[pr], a[piv] = a[piv], a[pr]
             u[pr], u[piv] = u[piv], u[pr]
-        for i in range(pr + 1, n_rows):
-            if a[i][col] == 0:
-                continue
-            if a[i][col] % a[pr][col] == 0:
-                d = a[i][col] // a[pr][col]
-                a[i] = [v - d * w for v, w in zip(a[i], a[pr])]
-                u[i] = [v - d * w for v, w in zip(u[i], u[pr])]
-                continue
-            g, x, y = ext_gcd(a[pr][col], a[i][col])
-            p, q = a[pr][col] // g, a[i][col] // g
-            _combine_rows(a, pr, i, x, y, p, q)
-            _combine_rows(u, pr, i, x, y, p, q)
+        _clear_below(a, u, pr, col)
         if a[pr][col] < 0:
             a[pr] = [-v for v in a[pr]]
             u[pr] = [-v for v in u[pr]]
@@ -236,12 +240,28 @@ def hermite_basis(m: IntMatrix) -> IntMatrix:
     column: a row meeting an occupied pivot is sheared by it when the pivot
     divides its entry, and otherwise the two are replaced by one Bezout step
     whose new pivot is their gcd; a row reaching a free column becomes that
-    column's pivot, made positive.  The entries above the pivots are reduced
-    once, at the end.  The Hermite form is unique, so this equals
+    column's pivot, made positive.  Both rows a Bezout step writes are reduced
+    modulo the pivots right of its column, which keeps entries small on dense
+    input (Kannan and Bachem 1979), and a last pass reduces each row modulo
+    the pivots right of its own.  Each reduction subtracts a lattice vector
+    and the Hermite form is unique, so this equals
     ``hermite_normal_form(m)[0]`` with its zero rows dropped.
     """
     n_cols = m.cols
     basis: dict[int, list[int]] = {}
+    pivots: list[int] = []
+
+    def reduce(row: list[int], start: int) -> list[int]:
+        # Bring the entries at the pivot columns >= start into [0, pivot).
+        # Reducing by a pivot changes only columns at and right of it, so
+        # going left to right never undoes an earlier column.
+        for col in pivots[bisect_left(pivots, start) :]:
+            piv_row = basis[col]
+            q = row[col] // piv_row[col]
+            if q:
+                row = [v - q * w for v, w in zip(row, piv_row)]
+        return row
+
     for i in range(m.rows):
         row = list(m.row(i))
         for col in range(n_cols):
@@ -251,6 +271,7 @@ def hermite_basis(m: IntMatrix) -> IntMatrix:
             piv = basis.get(col)
             if piv is None:
                 basis[col] = [-v for v in row] if b < 0 else row
+                insort(pivots, col)
                 break
             a = piv[col]
             if b % a == 0:
@@ -259,18 +280,9 @@ def hermite_basis(m: IntMatrix) -> IntMatrix:
             else:
                 g, x, y = ext_gcd(a, b)
                 p, q = a // g, b // g
-                basis[col] = [x * v + y * w for v, w in zip(piv, row)]
-                row = [p * w - q * v for v, w in zip(piv, row)]
-    pivots = sorted(basis)
-    rows = [basis[c] for c in pivots]
-    # Reducing by pivot k changes only columns at and right of it, so going
-    # left to right never undoes an earlier column.
-    for k, col in enumerate(pivots):
-        piv_row, piv_val = rows[k], rows[k][col]
-        for i in range(k):
-            q = rows[i][col] // piv_val
-            if q:
-                rows[i] = [v - q * w for v, w in zip(rows[i], piv_row)]
+                basis[col] = reduce([x * v + y * w for v, w in zip(piv, row)], col + 1)
+                row = reduce([p * w - q * v for v, w in zip(piv, row)], col + 1)
+    rows = [reduce(basis[c], c + 1) for c in pivots]
     return IntMatrix(len(rows), n_cols, tuple(chain.from_iterable(rows)))
 
 
@@ -308,20 +320,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if pivot_pos[1] != k:
             swap_cols(k, pivot_pos[1])
         while True:
-            for i in range(k + 1, n_rows):
-                if a[i][k] == 0:
-                    continue
-                if a[i][k] % a[k][k] == 0:
-                    # Plain shear; a full Bezout transform here would leak the
-                    # other row back into the pivot row and can oscillate.
-                    d = a[i][k] // a[k][k]
-                    a[i] = [v - d * w for v, w in zip(a[i], a[k])]
-                    s[i] = [v - d * w for v, w in zip(s[i], s[k])]
-                    continue
-                g, x, y = ext_gcd(a[k][k], a[i][k])
-                p, q = a[k][k] // g, a[i][k] // g
-                _combine_rows(a, k, i, x, y, p, q)
-                _combine_rows(s, k, i, x, y, p, q)
+            _clear_below(a, s, k, k)
             for j in range(k + 1, n_cols):
                 if a[k][j] == 0:
                     continue

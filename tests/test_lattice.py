@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bredim
 from bredim.errors import (
     AmbientMismatchError,
     ContainmentError,
@@ -392,7 +397,7 @@ def _independent_rows(rng, rows, n):
             return out
 
 
-@pytest.mark.parametrize("n", range(8, 17))
+@pytest.mark.parametrize("n", [*range(8, 25), 28, 32])
 def test_saturation_matches_rational_oracle_at_scale(n):
     rng = random.Random(f"saturation-oracle:{n}")
     for _ in range(3):
@@ -411,7 +416,7 @@ def test_saturation_matches_rational_oracle_at_scale(n):
         assert is_maximal(value) == (abs(math.prod(diag)) == 1)
 
 
-@pytest.mark.parametrize("n", range(8, 17))
+@pytest.mark.parametrize("n", [*range(8, 25), 28, 32])
 def test_intersect_matches_rational_oracle_at_scale(n):
     rng = random.Random(f"intersect-oracle:{n}")
     for _ in range(3):
@@ -435,6 +440,31 @@ def test_intersect_matches_rational_oracle_at_scale(n):
         assert meet.rank == ra + len(b) - _oracle_rank(a + b)
         assert _integral_combinations(a, rows) and _integral_combinations(b, rows)
         assert all(in_rational_span(a, row) and in_rational_span(b, row) for row in rows)
+
+
+# Runs the n = 24 intersect oracle test above and the Hermite basis of a
+# dense 60 x 60 square in a child process.
+SRC = str(Path(bredim.__file__).resolve().parents[1])
+BUDGETED = """
+import random, sys
+sys.path.insert(0, sys.argv[1])
+from test_lattice import test_intersect_matches_rational_oracle_at_scale
+from bredim.matrix import IntMatrix, hermite_basis
+test_intersect_matches_rational_oracle_at_scale(24)
+rng = random.Random(5)
+hermite_basis(IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)]))
+"""
+
+
+def test_hermite_basis_keeps_dense_input_within_budget():
+    # A Hermite basis that skips a reduction is still correct, so only its
+    # cost shows the fault: without the reductions this child ran for more
+    # than 200 s; with them it takes about a second.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run(
+        [sys.executable, "-c", BUDGETED, str(Path(__file__).resolve().parent)],
+        capture_output=True, text=True, env=env, timeout=20, check=True,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -354,3 +355,40 @@ def test_inverse_unimodular_refuses_singular_and_non_unimodular(u, data):
             inverse_unimodular(M(duplicated, cols=n))
     with pytest.raises(DimensionMismatchError):
         inverse_unimodular(M([list(u.row(r)) + [0] for r in range(n)], cols=n + 1))
+
+
+# ---------------------------------------------------------------------------
+# The tracked transforms are not unique, so golden output pins the exact
+# elimination order; this digest pins it below the command line.
+# ---------------------------------------------------------------------------
+
+
+def _transform_batch():
+    """300 seeded matrices, shapes 0..12 x 0..12, entries up to 50 in size,
+    with zero, duplicate and dependent rows mixed in."""
+    rng = random.Random("tracked-transforms")
+    for _ in range(300):
+        rows, cols = rng.randint(0, 12), rng.randint(0, 12)
+        out = []
+        for _ in range(rows):
+            kind = rng.choice(("random", "random", "zero", "copy", "combination"))
+            if kind == "zero" or (kind != "random" and not out):
+                row = [0] * cols
+            elif kind == "copy":
+                row = list(rng.choice(out))
+            elif kind == "combination":
+                c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+                first, second = rng.choice(out), rng.choice(out)
+                row = [c * x + d * y for x, y in zip(first, second)]
+            else:
+                row = [rng.randint(-50, 50) for _ in range(cols)]
+            out.append(row)
+        yield M(out, cols=cols)
+
+
+def test_tracked_transforms_are_pinned():
+    digest = hashlib.sha256()
+    for m in _transform_batch():
+        for out in (*hermite_normal_form(m), *smith_normal_form(m)):
+            digest.update(repr((out.rows, out.cols, out.entries)).encode())
+    assert digest.hexdigest() == "f58f845dd70736dc1ca906eb403f2edf922f3d78fc085570640e9e6bfabf69cd"
